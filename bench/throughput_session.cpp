@@ -1,36 +1,34 @@
-// Session throughput baseline: single-message vs. batched paths.
+// Session throughput baseline: single-message vs. arena vs. batched paths.
 //
 // The ROADMAP's north star is traffic scale, and the session subsystem
 // (src/session) is the first step: protocol caching, arena-backed buffers,
 // and sharded batches. This bench pins the numbers future PRs optimize
-// against. Four measurements over the same message set:
+// against. Six measurements over the same message set:
 //
 //   serialize/single   ObfuscatedProtocol::serialize() per message — the
 //                      allocating baseline path
+//   serialize/arena    Session::serialize() — arena emit, one message at a
+//                      time
 //   serialize/batched  Session::serialize_batch() — arena emit + worker
 //                      shards
 //   parse/single       ObfuscatedProtocol::parse() per wire image
+//   parse/arena        Session::parse()
 //   parse/batched      Session::parse_batch()
 //
 // Usage: bench_throughput_session [messages] [repeats] [per_node] [json_path]
 // Defaults keep a full run under ~5 s on one core for the CI smoke test.
 // Every run also writes a machine-readable BENCH_throughput.json so the
 // perf trajectory across PRs can be archived from CI.
-#include <unistd.h>
-
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <functional>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "harness.hpp"
-#include "native/compiler.hpp"
-#include "native/protocol.hpp"
 #include "obs/metrics.hpp"
 #include "session/protocol_cache.hpp"
 #include "session/session.hpp"
@@ -90,38 +88,6 @@ int main(int argc, char** argv) {
   }
   const ObfuscatedProtocol& protocol = **entry;
 
-  // Native rows: the compiled generated unit, built cold into a
-  // run-private dir so native_compile_ms reports a true cold compile (the
-  // .so stays mapped after the dir is removed). Skipped — with the rows
-  // absent from stdout and zeroed in the JSON — when this environment
-  // cannot build/load units; CI's guard requires them, so a toolchain
-  // regression there fails loudly instead of vacuously passing.
-  std::shared_ptr<const native::NativeProtocol> native_backend;
-  double native_compile_ms = 0.0;
-  if (native::NativeCompiler::toolchain_available()) {
-    native::NativeCompiler::Options nopt;
-    nopt.cache_dir =
-        "/tmp/protoobf-bench-native-" + std::to_string(::getpid());
-    native::NativeCompiler compiler(nopt);
-    auto built = compiler.compile(
-        protocol, native::NativeCompiler::cache_file_base(
-                      protocol, ProtocolCache::hash_graph(g), config.seed,
-                      static_cast<std::size_t>(config.per_node)));
-    if (built) {
-      native_compile_ms = built->compile_ms;
-      native_backend =
-          std::make_shared<const native::NativeProtocol>(protocol, built->unit);
-    } else {
-      std::fprintf(stderr, "native rows skipped (build failed): %s\n",
-                   built.error().message.c_str());
-    }
-    std::error_code ec;
-    std::filesystem::remove_all(nopt.cache_dir, ec);
-  } else {
-    std::fprintf(stderr, "native rows skipped (no toolchain): %s\n",
-                 native::NativeCompiler::toolchain_status().c_str());
-  }
-
   Rng rng(7);
   std::vector<Message> msgs;
   msgs.reserve(messages);
@@ -164,37 +130,43 @@ int main(int argc, char** argv) {
   // perturbation evenly instead of biasing whichever path happened to run
   // during it.
   constexpr int kTrials = 5;
-  Rate ser_single, ser_arena, ser_batched, ser_native;
-  Rate parse_single, parse_arena, parse_batched, parse_native;
-  std::vector<std::pair<Rate*, std::function<void()>>> paths;
+  Rate ser_single, ser_arena, ser_batched;
+  Rate parse_single, parse_arena, parse_batched;
+  struct Path {
+    Rate* rate = nullptr;
+    std::function<void()> body;
+  };
+  std::array<Path, 6> paths;
 
   // Single vs batched is apples-to-apples: the fixture is "N independent
   // messages to process" and the batch call returns owned results, so the
   // single-message baseline collects the same result vector one call at a
   // time. The arena rows are the streaming variants (results consumed
-  // immediately), reported for reference.
-  paths.emplace_back(&ser_single, [&] {
+  // immediately), reported for reference. The table is fixed-size and
+  // filled by index: growing a vector of these entries trips a GCC 12
+  // false-positive -Warray-bounds.
+  paths[0] = {&ser_single, [&] {
     std::vector<Expected<Bytes>> results;
     results.reserve(messages);
     for (std::size_t i = 0; i < messages; ++i) {
       results.emplace_back(protocol.serialize(msgs[i].root(), msg_seed_of(i)));
     }
     for (const auto& result : results) checksum += result ? result->size() : 0;
-  });
+  }};
 
-  paths.emplace_back(&ser_arena, [&] {
+  paths[1] = {&ser_arena, [&] {
     for (std::size_t i = 0; i < messages; ++i) {
       auto wire = session.serialize(msgs[i].root(), msg_seed_of(i));
       checksum += wire ? wire->size() : 0;
     }
-  });
+  }};
 
-  paths.emplace_back(&ser_batched, [&] {
+  paths[2] = {&ser_batched, [&] {
     auto results = session.serialize_batch(items);
     for (const auto& result : results) checksum += result ? result->size() : 0;
-  });
+  }};
 
-  paths.emplace_back(&parse_single, [&] {
+  paths[3] = {&parse_single, [&] {
     std::vector<Expected<InstPtr>> results;
     results.reserve(messages);
     for (const Bytes& wire : wires) {
@@ -203,49 +175,21 @@ int main(int argc, char** argv) {
     for (const auto& result : results) {
       checksum += result ? (*result)->children.size() : 0;
     }
-  });
+  }};
 
-  paths.emplace_back(&parse_arena, [&] {
+  paths[4] = {&parse_arena, [&] {
     for (const Bytes& wire : wires) {
       auto tree = session.parse(wire);
       checksum += tree ? (*tree)->children.size() : 0;
     }
-  });
+  }};
 
-  paths.emplace_back(&parse_batched, [&] {
+  paths[5] = {&parse_batched, [&] {
     auto results = session.parse_batch(views);
     for (const auto& result : results) {
       checksum += result ? (*result)->children.size() : 0;
     }
-  });
-
-  // The native rows mirror the single-message baselines exactly — same
-  // allocation pattern, same collected-results fixture — with only the
-  // wire-syntax half routed through the compiled unit.
-  if (native_backend != nullptr) {
-    paths.emplace_back(&ser_native, [&] {
-      std::vector<Bytes> results;
-      results.reserve(messages);
-      for (std::size_t i = 0; i < messages; ++i) {
-        Bytes out;
-        (void)protocol.serialize_with(native_backend.get(), msgs[i].root(),
-                                      msg_seed_of(i), out);
-        results.push_back(std::move(out));
-      }
-      for (const auto& result : results) checksum += result.size();
-    });
-
-    paths.emplace_back(&parse_native, [&] {
-      std::vector<Expected<InstPtr>> results;
-      results.reserve(messages);
-      for (const Bytes& wire : wires) {
-        results.emplace_back(protocol.parse_with(native_backend.get(), wire));
-      }
-      for (const auto& result : results) {
-        checksum += result ? (*result)->children.size() : 0;
-      }
-    });
-  }
+  }};
 
   for (auto& [rate, body] : paths) {
     rate->messages = messages * static_cast<std::size_t>(repeats);
@@ -333,17 +277,6 @@ int main(int argc, char** argv) {
               parse_arena.msgs_per_sec / parse_single.msgs_per_sec);
   std::printf("  serialize metrics on/off: %.3fx\n", ser_onoff);
   std::printf("  parse     metrics on/off: %.3fx\n", parse_onoff);
-  if (native_backend != nullptr) {
-    print_rate("serialize/native", ser_native);
-    print_rate("parse/native", parse_native);
-    // Compiled tables + monomorphized walks must at least match the
-    // interpreter (CI guards these ratios too).
-    std::printf("  serialize native/single:  %.3fx\n",
-                ser_native.msgs_per_sec / ser_single.msgs_per_sec);
-    std::printf("  parse     native/single:  %.3fx\n",
-                parse_native.msgs_per_sec / parse_single.msgs_per_sec);
-    std::printf("  native compile (cold):    %.0f ms\n", native_compile_ms);
-  }
   std::printf("  (checksum %zu)\n", checksum);
 
   if (std::FILE* f = std::fopen(json_path, "w")) {
@@ -361,9 +294,6 @@ int main(int argc, char** argv) {
                  "  \"parse_single_msgs_per_sec\": %.0f,\n"
                  "  \"parse_arena_msgs_per_sec\": %.0f,\n"
                  "  \"parse_batched_msgs_per_sec\": %.0f,\n"
-                 "  \"serialize_native_msgs_per_sec\": %.0f,\n"
-                 "  \"parse_native_msgs_per_sec\": %.0f,\n"
-                 "  \"native_compile_ms\": %.1f,\n"
                  "  \"serialize_arena_metrics_off_msgs_per_sec\": %.0f,\n"
                  "  \"parse_arena_metrics_off_msgs_per_sec\": %.0f,\n"
                  "  \"serialize_metrics_on_off_ratio\": %.4f,\n"
@@ -373,9 +303,7 @@ int main(int argc, char** argv) {
                  session.batch_width(), ser_single.msgs_per_sec,
                  ser_arena.msgs_per_sec, ser_batched.msgs_per_sec,
                  parse_single.msgs_per_sec, parse_arena.msgs_per_sec,
-                 parse_batched.msgs_per_sec, ser_native.msgs_per_sec,
-                 parse_native.msgs_per_sec, native_compile_ms,
-                 ser_arena_off.msgs_per_sec, parse_arena_off.msgs_per_sec,
+                 parse_batched.msgs_per_sec, ser_arena_off.msgs_per_sec, parse_arena_off.msgs_per_sec,
                  ser_onoff, parse_onoff);
     std::fclose(f);
     std::printf("  wrote %s\n", json_path);

@@ -11,9 +11,9 @@
 //
 // It subsumes the scattered ad-hoc predicates: `stream_safe()` and the
 // ROADMAP's `datagram_safe()` become named, located diagnostics, and the
-// analyzer's own min-need computation is cross-checked against
-// `min_wire_size()` — a disagreement is itself a diagnostic (PO-E999), the
-// static twin of the fuzzer's interpreter==native oracle.
+// analyzer's own min-need computation is cross-checked against the
+// runtime's independent `min_wire_size()` — a disagreement is itself a
+// diagnostic (PO-E999).
 //
 // Severity contract: an Error means the artifact is wrong (some message
 // cannot round-trip, or the runtime metadata is corrupt) and serving it is

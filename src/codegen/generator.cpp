@@ -1,7 +1,5 @@
 #include "codegen/generator.hpp"
 
-#include "codegen/native_unit.hpp"
-
 #include <algorithm>
 #include <cctype>
 #include <map>
@@ -839,11 +837,7 @@ class Generator {
 }  // namespace
 
 GeneratedCode generate_cpp(const ObfuscatedProtocol& protocol) {
-  GeneratedCode code = Generator(protocol).run();
-  code.source += generate_native_section(protocol);
-  code.metrics.lines = static_cast<std::size_t>(
-      std::count(code.source.begin(), code.source.end(), '\n'));
-  return code;
+  return Generator(protocol).run();
 }
 
 }  // namespace protoobf

@@ -65,37 +65,6 @@ FuzzRunner::Attempt FuzzRunner::parse_full(BytesView wire) {
   return a;
 }
 
-/// parse_full through the native backend: same entry points, same arena
-/// pools, the compiled unit doing the wire-syntax work.
-FuzzRunner::Attempt FuzzRunner::parse_native(BytesView wire) {
-  Attempt a;
-  if (config_.whole_message) {
-    auto tree = protocol_->parse_with(native_, wire, &arena_.scratch(),
-                                      &arena_.scopes(), &arena_.nodes(),
-                                      &arena_.derive());
-    if (tree.ok()) {
-      a.verdict.kind = Verdict::Kind::Parsed;
-      a.verdict.consumed = wire.size();
-      a.tree = std::move(*tree);
-    } else {
-      a.verdict = verdict_of_error(tree.error());
-    }
-    return a;
-  }
-  std::size_t consumed = 0;
-  auto tree = protocol_->parse_prefix_with(native_, wire, &consumed,
-                                           &arena_.scratch(), &arena_.scopes(),
-                                           &arena_.nodes(), &arena_.derive());
-  if (tree.ok()) {
-    a.verdict.kind = Verdict::Kind::Parsed;
-    a.verdict.consumed = consumed;
-    a.tree = std::move(*tree);
-  } else {
-    a.verdict = verdict_of_error(tree.error());
-  }
-  return a;
-}
-
 FuzzRunner::Attempt FuzzRunner::replay_chunked(BytesView wire, Rng& chunks) {
   // A checkpoint left by a previous input describes a different buffer
   // front; it must never leak into this replay.
@@ -185,20 +154,6 @@ std::string FuzzRunner::check(BytesView wire, Rng& chunks) {
       } else if (full.verdict.kind == Verdict::Kind::Parsed &&
                  !ast::equal(*full.tree, *replayed.tree)) {
         violation = "resumed parse produced a different tree";
-      }
-    }
-
-    if (violation.empty() && native_ != nullptr) {
-      Attempt native = parse_native(wire);
-      if (!(native.verdict == full.verdict)) {
-        violation = std::string("native verdict disagreement: interpreter ") +
-                    to_string(full.verdict.kind) + " (consumed " +
-                    std::to_string(full.verdict.consumed) + ") vs native " +
-                    to_string(native.verdict.kind) + " (consumed " +
-                    std::to_string(native.verdict.consumed) + ")";
-      } else if (full.verdict.kind == Verdict::Kind::Parsed &&
-                 !ast::equal(*full.tree, *native.tree)) {
-        violation = "native parse produced a different tree";
       }
     }
   }  // trees drop here, recycling their nodes

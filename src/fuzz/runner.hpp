@@ -16,13 +16,6 @@
 //      ParseResume continuing each truncated attempt. Disagreement means a
 //      suspend/restore path lost or invented state.
 //
-// A fifth, optional clause: with a native backend attached
-// (set_native_backend), every input is additionally parsed through the
-// compiled generated unit and its verdict, consumed count and tree must
-// agree with the interpreter's — the cross-implementation oracle that
-// keeps the native engine honest against hostile bytes, not just valid
-// round-trips.
-//
 // The runner also lints the protocol once at construction (the static
 // analyzer over the same wire graph) and stamps every violation with that
 // verdict: a taxonomy violation on a lint-clean spec means either the
@@ -104,11 +97,6 @@ class FuzzRunner {
   SessionArena& arena() { return arena_; }
   const ObfuscatedProtocol& protocol() const { return *protocol_; }
 
-  /// Attaches the native==interpreter agreement arm: every check() also
-  /// parses through `backend` and compares verdict/consumed/tree. Pass
-  /// nullptr to detach. The backend must outlive the runner.
-  void set_native_backend(const WireBackend* backend) { native_ = backend; }
-
   /// The static analyzer's verdict on the protocol under test, computed
   /// once at construction. check() stamps violations with it: a violation
   /// on a lint-clean spec is a bug in the runtime or in the analyzer.
@@ -121,14 +109,12 @@ class FuzzRunner {
   };
 
   Attempt parse_full(BytesView wire);
-  Attempt parse_native(BytesView wire);
   Attempt replay_chunked(BytesView wire, Rng& chunks);
 
   const ObfuscatedProtocol* protocol_;
   Config config_;
   SessionArena arena_;
   ParseResume resume_;  // reused across replays; invalidated between inputs
-  const WireBackend* native_ = nullptr;
   analysis::Report lint_;
   Totals totals_;
 };

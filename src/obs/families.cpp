@@ -115,31 +115,6 @@ SessionMetrics& SessionMetrics::get() {
   return *m;
 }
 
-NativeMetrics& NativeMetrics::get() {
-  static NativeMetrics* m = [] {
-    MetricsRegistry& r = MetricsRegistry::global();
-    return new NativeMetrics{
-        r.counter("protoobf_native_cache_hits_total",
-                  "NativeCache lookups served from memory."),
-        r.counter("protoobf_native_cache_misses_total",
-                  "NativeCache lookups that required a compile."),
-        r.counter("protoobf_native_disk_hits_total",
-                  "Compiles satisfied by the fingerprinted on-disk unit."),
-        r.counter("protoobf_native_recompiles_total",
-                  "Full compiler invocations."),
-        r.counter("protoobf_native_coalesced_total",
-                  "Lookups that joined an in-flight compile."),
-        r.counter("protoobf_native_errors_total", "Failed builds."),
-        r.counter("protoobf_native_poisoned_total",
-                  "Lookups short-circuited by the poison TTL."),
-        r.gauge("protoobf_native_cache_size", "Entries resident in the LRU."),
-        r.histogram("protoobf_native_compile_ns",
-                    "Cold native compile latency, nanoseconds."),
-    };
-  }();
-  return *m;
-}
-
 ReconnectMetrics& ReconnectMetrics::get() {
   static ReconnectMetrics* m = [] {
     MetricsRegistry& r = MetricsRegistry::global();
@@ -205,7 +180,6 @@ FaultMetrics& FaultMetrics::get() {
 void touch_all() {
   NetMetrics::client();
   SessionMetrics::get();
-  NativeMetrics::get();
   ReconnectMetrics::get();
   ResumeMetrics::get();
   FaultMetrics::get();

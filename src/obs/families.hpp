@@ -61,28 +61,16 @@ struct SessionMetrics {
   Counter& cache_evictions;
 
   static constexpr std::uint32_t kSampleEvery = 64;  // latency sampling period
-  /// True once every kSampleEvery calls on this thread — keeps the two
-  /// steady_clock reads off the common per-message path.
-  static bool sample() {
-    thread_local std::uint32_t tick = 0;
-    return (++tick & (kSampleEvery - 1)) == 0;
+  enum class Op : std::uint8_t { Serialize, Parse };
+  /// True once every kSampleEvery calls of `op` on this thread — keeps the
+  /// two steady_clock reads off the common per-message path. Each op has
+  /// its own tick: with a shared one, a strict parse/serialize alternation
+  /// (every echo) would sample only whichever op lands on even ticks.
+  static bool sample(Op op) {
+    thread_local std::uint32_t ticks[2] = {};
+    return (++ticks[static_cast<std::size_t>(op)] & (kSampleEvery - 1)) == 0;
   }
   static SessionMetrics& get();
-};
-
-/// Native-backend (generated-code compile + cache) metrics.
-struct NativeMetrics {
-  Counter& hits;
-  Counter& misses;
-  Counter& disk_hits;
-  Counter& recompiles;
-  Counter& coalesced;
-  Counter& errors;
-  Counter& poisoned;
-  Gauge& cache_size;
-  Histogram& compile_ns;  // cold compile latency
-
-  static NativeMetrics& get();
 };
 
 /// ReliableClient reconnect/resend metrics, process-wide.

@@ -208,8 +208,8 @@ class WireParser {
       // Re-entry on the reversed copy of a mirrored region: the buffer *is*
       // the region, whatever the declared boundary says.
       region_end = r.end;
-      return parse_with_region(n, id, r, region_end, stop_marker_rep,
-                               nullptr);
+      return parse_in_region(n, id, r, region_end, stop_marker_rep,
+                             nullptr);
     }
     if (frame != nullptr && frame->partial != nullptr) {
       // Restored mid-children composite. Only region-less nodes (open-End
@@ -217,8 +217,8 @@ class WireParser {
       // can suspend with a partial — everything with an intrinsic region
       // completes or fails hard once the region is carved — so re-entry
       // skips region determination and rejoins the child walk.
-      return parse_with_region(n, id, r, std::nullopt, stop_marker_rep,
-                               frame);
+      return parse_in_region(n, id, r, std::nullopt, stop_marker_rep,
+                             frame);
     }
     switch (n.boundary) {
       case BoundaryKind::Fixed:
@@ -329,13 +329,13 @@ class WireParser {
       return inst;
     }
 
-    return parse_with_region(n, id, r, region_end, stop_marker_rep, frame);
+    return parse_in_region(n, id, r, region_end, stop_marker_rep, frame);
   }
 
-  Expected<InstPtr> parse_with_region(const Node& n, NodeId id, Reader& r,
-                                      std::optional<std::size_t> region_end,
-                                      bool stop_marker_rep,
-                                      ResumeFrame* frame) {
+  Expected<InstPtr> parse_in_region(const Node& n, NodeId id, Reader& r,
+                                    std::optional<std::size_t> region_end,
+                                    bool stop_marker_rep,
+                                    ResumeFrame* frame) {
     // Regions carved out of the input by an intrinsic boundary (fixed size,
     // length holder, delimiter scan) are hard: running short inside them is
     // a malformation. Only an `end` region inherits the reader's softness —

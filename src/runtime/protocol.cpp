@@ -51,30 +51,12 @@ Expected<Bytes> ObfuscatedProtocol::serialize(
   return out;
 }
 
-void ObfuscatedProtocol::attach_wire_backend(
-    std::shared_ptr<const WireBackend> backend) const {
-  std::lock_guard<std::mutex> lock(backend_slot_->mu);
-  backend_slot_->backend = std::move(backend);
-}
-
-std::shared_ptr<const WireBackend> ObfuscatedProtocol::wire_backend() const {
-  std::lock_guard<std::mutex> lock(backend_slot_->mu);
-  return backend_slot_->backend;
-}
-
 Status ObfuscatedProtocol::serialize_into(const Inst& message,
                                           std::uint64_t msg_seed, Bytes& out,
                                           std::vector<FieldSpan>* spans,
                                           InstPool* nodes,
                                           ScopeChain* scopes,
                                           DeriveScratch* derive) const {
-  // Span collection needs the interpreter's emitter; everything else may
-  // route through an attached backend.
-  if (spans == nullptr) {
-    const auto backend = wire_backend();
-    return serialize_with(backend.get(), message, msg_seed, out, nodes,
-                          scopes, derive);
-  }
   if (Status s = ast::check(original_, message); !s) return s;
   // The caller's tree is read-only; the transformation passes mutate a
   // workspace copy drawn from the node pool. With a session pool attached
@@ -98,53 +80,13 @@ Status ObfuscatedProtocol::serialize_into(const Inst& message,
   return emit_into(wire_, *tree, out, spans);
 }
 
-Status ObfuscatedProtocol::serialize_with(const WireBackend* backend,
-                                          const Inst& message,
-                                          std::uint64_t msg_seed, Bytes& out,
-                                          InstPool* nodes, ScopeChain* scopes,
-                                          DeriveScratch* derive) const {
-  if (Status s = ast::check(original_, message); !s) return s;
-  InstPtr tree = ast::copy(nodes, message);
-  if (Status s = protoobf::canonicalize(original_, *tree, &canon_holders_,
-                                        scopes, derive);
-      !s) {
-    return s;
-  }
-  if (Status s = check_presence(original_, *tree, scopes); !s) return s;
-
-  Rng rng(msg_seed);
-  if (Status s = forward_all(tree, journal_, rng, nodes); !s) return s;
-  if (backend != nullptr) {
-    return backend->fix_emit(*tree, msg_seed, out);
-  }
-  if (Status s = fix_holders(wire_, journal_, holders_, *tree, msg_seed,
-                             nodes, scopes, derive);
-      !s) {
-    return s;
-  }
-  return emit_into(wire_, *tree, out, nullptr);
-}
-
 Expected<InstPtr> ObfuscatedProtocol::parse(BytesView wire,
                                             BufferPool* scratch,
                                             ScopeChain* scopes,
                                             InstPool* nodes,
                                             DeriveScratch* derive) const {
-  const auto backend = wire_backend();
-  return parse_with(backend.get(), wire, scratch, scopes, nodes, derive);
-}
-
-Expected<InstPtr> ObfuscatedProtocol::parse_with(const WireBackend* backend,
-                                                 BytesView wire,
-                                                 BufferPool* scratch,
-                                                 ScopeChain* scopes,
-                                                 InstPool* nodes,
-                                                 DeriveScratch* derive) const {
   auto tree =
-      backend != nullptr
-          ? backend->parse_wire_tree(wire, /*prefix=*/false, nullptr, nodes)
-          : parse_wire(wire_, journal_, holders_, wire, scratch, scopes,
-                       nodes);
+      parse_wire(wire_, journal_, holders_, wire, scratch, scopes, nodes);
   return finish_parse(std::move(tree), nodes, scopes, derive);
 }
 
@@ -155,28 +97,8 @@ Expected<InstPtr> ObfuscatedProtocol::parse_prefix(BytesView buffer,
                                                    InstPool* nodes,
                                                    DeriveScratch* derive,
                                                    ParseResume* resume) const {
-  // Resumable parses carry interpreter-internal suspension state; they stay
-  // on the interpreter even with a backend attached.
-  if (resume == nullptr) {
-    if (const auto backend = wire_backend()) {
-      return parse_prefix_with(backend.get(), buffer, consumed, scratch,
-                               scopes, nodes, derive);
-    }
-  }
   auto tree = parse_wire_prefix(wire_, journal_, holders_, buffer, consumed,
                                 scratch, scopes, nodes, resume);
-  return finish_parse(std::move(tree), nodes, scopes, derive);
-}
-
-Expected<InstPtr> ObfuscatedProtocol::parse_prefix_with(
-    const WireBackend* backend, BytesView buffer, std::size_t* consumed,
-    BufferPool* scratch, ScopeChain* scopes, InstPool* nodes,
-    DeriveScratch* derive) const {
-  auto tree =
-      backend != nullptr
-          ? backend->parse_wire_tree(buffer, /*prefix=*/true, consumed, nodes)
-          : parse_wire_prefix(wire_, journal_, holders_, buffer, consumed,
-                              scratch, scopes, nodes, nullptr);
   return finish_parse(std::move(tree), nodes, scopes, derive);
 }
 

@@ -14,11 +14,8 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 
 #include "graph/graph.hpp"
-#include "runtime/backend.hpp"
 #include "runtime/derive.hpp"
 #include "runtime/emit.hpp"
 #include "runtime/resume.hpp"
@@ -101,39 +98,6 @@ class ObfuscatedProtocol {
   /// compares equal with parse() results.
   Status canonicalize(Inst& message) const;
 
-  /// Attaches (or detaches, with nullptr) a wire-syntax backend — typically
-  /// a compiled generated unit (native::NativeProtocol). Once attached,
-  /// serialize/parse route their wire-byte half through the backend;
-  /// requests a backend cannot express fall back to the interpreter:
-  /// span-collecting serialization and resumable prefix parses. Thread-safe
-  /// and callable on a shared const protocol (NativeCache attaches in the
-  /// background while the interpreter serves); copies of this object made
-  /// before or after share the attachment.
-  void attach_wire_backend(std::shared_ptr<const WireBackend> backend) const;
-
-  /// Currently attached backend, nullptr when serving interpreted.
-  std::shared_ptr<const WireBackend> wire_backend() const;
-
-  /// Explicit-backend variants of serialize_into/parse/parse_prefix: run
-  /// the wire-byte half through `backend` regardless of what is attached
-  /// (nullptr forces the interpreter). Used by tests, the fuzz agreement
-  /// oracle and benches to compare implementations side by side.
-  Status serialize_with(const WireBackend* backend, const Inst& message,
-                        std::uint64_t msg_seed, Bytes& out,
-                        InstPool* nodes = nullptr, ScopeChain* scopes = nullptr,
-                        DeriveScratch* derive = nullptr) const;
-  Expected<InstPtr> parse_with(const WireBackend* backend, BytesView wire,
-                               BufferPool* scratch = nullptr,
-                               ScopeChain* scopes = nullptr,
-                               InstPool* nodes = nullptr,
-                               DeriveScratch* derive = nullptr) const;
-  Expected<InstPtr> parse_prefix_with(const WireBackend* backend,
-                                      BytesView buffer, std::size_t* consumed,
-                                      BufferPool* scratch = nullptr,
-                                      ScopeChain* scopes = nullptr,
-                                      InstPool* nodes = nullptr,
-                                      DeriveScratch* derive = nullptr) const;
-
  private:
   ObfuscatedProtocol(Graph original, ObfuscationResult result);
 
@@ -141,22 +105,12 @@ class ObfuscatedProtocol {
                                  ScopeChain* scopes,
                                  DeriveScratch* derive) const;
 
-  // Backend attachment point. Held behind a shared_ptr so the protocol
-  // stays copyable/movable (Expected<ObfuscatedProtocol> returns) and so
-  // copies observe a later background attach; the mutex makes swap-in safe
-  // against concurrent serving threads.
-  struct BackendSlot {
-    mutable std::mutex mu;
-    std::shared_ptr<const WireBackend> backend;
-  };
-
   Graph original_;
   Graph wire_;
   Journal journal_;
   ObfuscationStats stats_;
   HolderTable holders_;
   std::vector<NodeId> canon_holders_;  // canonical_holder_ids(original_)
-  std::shared_ptr<BackendSlot> backend_slot_ = std::make_shared<BackendSlot>();
 };
 
 }  // namespace protoobf

@@ -6,11 +6,13 @@ namespace protoobf {
 
 namespace {
 
+using Op = obs::SessionMetrics::Op;
+
 // Per-message instrumentation, kept off the critical path: counters are one
 // relaxed add; latency is recorded for one message in kSampleEvery per
-// thread, so the steady_clock reads never become a per-message cost.
-inline std::uint64_t maybe_start_sample() {
-  return obs::SessionMetrics::sample() ? obs::now_ns() : 0;
+// thread and op, so the steady_clock reads never become a per-message cost.
+inline std::uint64_t maybe_start_sample(Op op) {
+  return obs::SessionMetrics::sample(op) ? obs::now_ns() : 0;
 }
 
 inline void finish_serialize(obs::SessionMetrics& m, std::uint64_t t0,
@@ -43,7 +45,7 @@ Expected<BytesView> Session::serialize(const Inst& message,
                                        std::uint64_t msg_seed,
                                        std::vector<FieldSpan>* spans) {
   obs::SessionMetrics& m = obs::SessionMetrics::get();
-  const std::uint64_t t0 = maybe_start_sample();
+  const std::uint64_t t0 = maybe_start_sample(Op::Serialize);
   wire_hint_.reserve(arena_.wire());
   if (Status s = protocol_->serialize_into(message, msg_seed, arena_.wire(),
                                            spans, &arena_.nodes(),
@@ -60,7 +62,7 @@ Expected<BytesView> Session::serialize(const Inst& message,
 
 Expected<InstPtr> Session::parse(BytesView wire) {
   obs::SessionMetrics& m = obs::SessionMetrics::get();
-  const std::uint64_t t0 = maybe_start_sample();
+  const std::uint64_t t0 = maybe_start_sample(Op::Parse);
   auto result = protocol_->parse(wire, &arena_.scratch(), &arena_.scopes(),
                                  &arena_.nodes(), &arena_.derive());
   finish_parse(m, t0, static_cast<bool>(result));
@@ -73,7 +75,7 @@ Expected<Bytes> Session::serialize_one(SessionArena& arena,
     return Unexpected("batch item has no message");
   }
   obs::SessionMetrics& m = obs::SessionMetrics::get();
-  const std::uint64_t t0 = maybe_start_sample();
+  const std::uint64_t t0 = maybe_start_sample(Op::Serialize);
   wire_hint_.reserve(arena.wire());
   if (Status s = protocol_->serialize_into(*item.message, item.msg_seed,
                                            arena.wire(), /*spans=*/nullptr,
@@ -126,7 +128,7 @@ std::vector<Expected<InstPtr>> Session::parse_batch(
   obs::SessionMetrics& m = obs::SessionMetrics::get();
   const auto parse_into = [&](SessionArena& arena, BytesView wire,
                               Expected<InstPtr>& out) {
-    const std::uint64_t t0 = maybe_start_sample();
+    const std::uint64_t t0 = maybe_start_sample(Op::Parse);
     out = protocol_->parse(wire, &arena.scratch(), &arena.scopes(),
                            &arena.nodes(), &arena.derive());
     finish_parse(m, t0, static_cast<bool>(out));

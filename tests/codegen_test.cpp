@@ -4,13 +4,10 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 
 #include "codegen/generator.hpp"
 #include "core/protoobf.hpp"
-#include "native/compiler.hpp"
-#include "native/protocol.hpp"
 #include "protocols/http.hpp"
 #include "protocols/modbus.hpp"
 
@@ -62,17 +59,27 @@ TEST(Codegen, PlainModbusStructure) {
 }
 
 TEST(Codegen, MetricsGrowWithObfuscation) {
-  CodeMetrics previous{};
-  for (int per_node : {0, 1, 2, 3}) {
-    auto protocol = make(modbus::request_spec(), per_node);
-    const CodeMetrics m = generate_cpp(protocol).metrics;
-    if (per_node > 0) {
-      EXPECT_GT(m.lines, previous.lines);
-      EXPECT_GT(m.structs, previous.structs);
-      EXPECT_GT(m.callgraph_size, previous.callgraph_size);
-      EXPECT_GE(m.callgraph_depth, previous.callgraph_depth);
+  for (std::string_view spec :
+       {modbus::request_spec(), http::request_spec()}) {
+    std::vector<CodeMetrics> levels;
+    for (int per_node : {0, 1, 2, 3}) {
+      auto protocol = make(spec, per_node);
+      const CodeMetrics m = generate_cpp(protocol).metrics;
+      if (!levels.empty()) {
+        const CodeMetrics& previous = levels.back();
+        EXPECT_GT(m.lines, previous.lines);
+        EXPECT_GT(m.structs, previous.structs);
+        EXPECT_GT(m.callgraph_size, previous.callgraph_size);
+        EXPECT_GE(m.callgraph_depth, previous.callgraph_depth);
+      }
+      levels.push_back(m);
     }
-    previous = m;
+    // The lines metric counts the generated library alone (§VII-B); two
+    // transformations per node at least double it (seed 404: 2.7x for
+    // Modbus, 3.3x for HTTP).
+    EXPECT_GE(levels[2].lines, 2 * levels[0].lines)
+        << "per_node 2: " << levels[2].lines
+        << " lines, per_node 0: " << levels[0].lines;
   }
 }
 
@@ -174,55 +181,6 @@ int main(int argc, char** argv) {
   EXPECT_EQ(echoed, to_hex(wire));
   std::remove(src.c_str());
   std::remove(bin.c_str());
-}
-
-TEST(CodegenExecution, ObfuscatedUnitCompilesLoadsAndRoundTrips) {
-  // The stronger claim, at per_node > 0: the generated unit's po_native
-  // section is not just valid C++ — compiled, dlopen'd and driven through
-  // the ABI it reproduces the runtime engine's bytes exactly. Golden
-  // round-trip: interpreter-serialized wire -> native parse -> native
-  // fix_emit -> the same bytes.
-  if (!native::NativeCompiler::toolchain_available()) {
-    GTEST_SKIP() << "native toolchain unavailable in this build mode: "
-                 << native::NativeCompiler::toolchain_status();
-  }
-  auto g = Framework::load_spec(modbus::request_spec()).value();
-  ObfuscationConfig cfg;
-  cfg.per_node = 2;
-  cfg.seed = 404;
-  auto protocol = Framework::generate(g, cfg).value();
-
-  native::NativeCompiler::Options options;
-  options.cache_dir = ::testing::TempDir() + "protoobf-codegen-exec";
-  std::filesystem::remove_all(options.cache_dir);
-  native::NativeCompiler compiler(options);
-  auto built = compiler.compile(
-      protocol, native::NativeCompiler::cache_file_base(protocol, 0xC0DE9E4,
-                                                        cfg.seed,
-                                                        cfg.per_node));
-  ASSERT_TRUE(built.ok()) << built.error().message;
-  ASSERT_NE(built->unit, nullptr);
-  EXPECT_FALSE(built->disk_hit) << "fresh dir cannot have a cached unit";
-  EXPECT_GT(built->compile_ms, 0.0);
-
-  native::NativeProtocol backend(protocol, built->unit);
-  Message msg = modbus::make_read_holding(g, 0x0001, 0x11, 0x006b, 3);
-  for (std::uint64_t msg_seed : {1ull, 2ull, 99ull}) {
-    Bytes interp, nat;
-    ASSERT_TRUE(
-        protocol.serialize_with(nullptr, msg.root(), msg_seed, interp).ok());
-    ASSERT_TRUE(
-        protocol.serialize_with(&backend, msg.root(), msg_seed, nat).ok());
-    EXPECT_EQ(to_hex(nat), to_hex(interp)) << "msg_seed " << msg_seed;
-
-    // Parse agreement is against the interpreter's canonical result (the
-    // hand-built message need not be in canonical form).
-    auto reparsed = protocol.parse_with(&backend, nat);
-    auto reference = protocol.parse_with(nullptr, nat);
-    ASSERT_TRUE(reparsed.ok()) << reparsed.error().message;
-    ASSERT_TRUE(reference.ok()) << reference.error().message;
-    EXPECT_TRUE(ast::equal(**reparsed, **reference));
-  }
 }
 
 }  // namespace

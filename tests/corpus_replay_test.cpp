@@ -19,7 +19,6 @@
 // hexdump from the assertion message, drop them in a new file.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -31,9 +30,7 @@
 #include "core/protoobf.hpp"
 #include "fuzz/runner.hpp"
 #include "fuzz_support.hpp"
-#include "native/cache.hpp"
 #include "runtime/parse.hpp"
-#include "session/protocol_cache.hpp"
 #include "util/rng.hpp"
 
 #ifndef PROTOOBF_CORPUS_DIR
@@ -106,18 +103,8 @@ TEST(CorpusReplay, EveryCheckedInCrasherHoldsAllInvariants) {
   struct ReplayArm {
     std::unique_ptr<ObfuscatedProtocol> protocol;
     std::unique_ptr<fuzz::FuzzRunner> runner;
-    std::shared_ptr<const native::NativeProtocol> native;
   };
   std::map<std::string, ReplayArm> runners;
-
-  // Crashers replay through the native engine too: an input that once broke
-  // the interpreter is exactly the input a transliteration gets wrong.
-  const bool native_ok = native::NativeCompiler::toolchain_available();
-  if (!native_ok) {
-    std::printf("[ info ] native agreement arm skipped: %s\n",
-                native::NativeCompiler::toolchain_status().c_str());
-  }
-  native::NativeCache native_cache;
 
   for (const auto& path : files) {
     auto entry = load_entry(path);
@@ -145,14 +132,6 @@ TEST(CorpusReplay, EveryCheckedInCrasherHoldsAllInvariants) {
       fuzz::FuzzRunner::Config run_cfg;
       run_cfg.whole_message = !stream_safe(arm.protocol->wire_graph()).ok();
       arm.runner = std::make_unique<fuzz::FuzzRunner>(*arm.protocol, run_cfg);
-      if (native_ok) {
-        auto backend = native_cache.get_or_compile(
-            *arm.protocol, ProtocolCache::hash_spec(spec->spec), cfg);
-        ASSERT_TRUE(backend.ok()) << entry->file << ": native build failed: "
-                                  << backend.error().message;
-        arm.native = *backend;
-        arm.runner->set_native_backend(arm.native.get());
-      }
       found = runners.emplace(key, std::move(arm)).first;
     }
 

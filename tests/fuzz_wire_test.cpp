@@ -15,7 +15,6 @@
 // and PROTOOBF_FUZZ_REPLAYS.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -24,9 +23,7 @@
 #include "fuzz/mutator.hpp"
 #include "fuzz/runner.hpp"
 #include "fuzz_support.hpp"
-#include "native/cache.hpp"
 #include "runtime/parse.hpp"
-#include "session/protocol_cache.hpp"
 #include "session/session.hpp"
 #include "stream/channel.hpp"
 #include "stream/stream_reader.hpp"
@@ -45,32 +42,8 @@ struct Arm {
   std::unique_ptr<ObfuscatedProtocol> protocol;
   std::unique_ptr<WireMutator> mutator;
   std::unique_ptr<FuzzRunner> runner;
-  std::shared_ptr<const native::NativeProtocol> native;  // keeps .so mapped
   bool whole_message = false;
 };
-
-/// Builds the native==interpreter agreement arm for `protocol` when the
-/// toolchain can produce loadable units in this build mode; logs the skip
-/// reason otherwise (e.g. sanitizer builds whose .so cannot be dlopen'd).
-std::shared_ptr<const native::NativeProtocol> native_arm(
-    const ObfuscatedProtocol& protocol, std::string_view spec,
-    const ObfuscationConfig& cfg, std::string_view name) {
-  if (!native::NativeCompiler::toolchain_available()) {
-    static bool logged = false;
-    if (!logged) {
-      logged = true;
-      std::printf("[ info ] native agreement arm skipped: %s\n",
-                  native::NativeCompiler::toolchain_status().c_str());
-    }
-    return nullptr;
-  }
-  static native::NativeCache cache;
-  auto backend =
-      cache.get_or_compile(protocol, ProtocolCache::hash_spec(spec), cfg);
-  EXPECT_TRUE(backend.ok())
-      << name << ": native build failed: " << backend.error().message;
-  return backend.ok() ? *backend : nullptr;
-}
 
 /// Compiles every registry spec at its registered obfuscation depth and
 /// builds its mutation bases. Prefix-parse mode is decided by the compiled
@@ -114,10 +87,6 @@ std::vector<Arm> build_arms(std::uint64_t seed) {
     FuzzRunner::Config run_cfg;
     run_cfg.whole_message = arm.whole_message;
     arm.runner = std::make_unique<FuzzRunner>(*arm.protocol, run_cfg);
-    arm.native = native_arm(*arm.protocol, entry.spec, cfg, entry.name);
-    if (arm.native != nullptr) {
-      arm.runner->set_native_backend(arm.native.get());
-    }
     arms.push_back(std::move(arm));
   }
   return arms;

@@ -14,6 +14,7 @@
 #include <set>
 #include <thread>
 
+#include "obs/families.hpp"
 #include "protocols/http.hpp"
 #include "protocols/modbus.hpp"
 #include "session/protocol_cache.hpp"
@@ -450,6 +451,35 @@ TEST(SessionArena, RetainsCapacityAcrossMessages) {
   auto second = session.serialize(msg.root(), 2);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(kept, Bytes(second->begin(), second->end()));
+}
+
+TEST(SessionMetrics, AlternatingOpsAreEachSampled) {
+  // The echo path alternates parse and serialize strictly. Each op keeps
+  // its own 1/kSampleEvery tick, so 128 calls of each record exactly two
+  // samples per histogram whatever the ticks' starting values.
+  obs::set_enabled(true);
+  if (!obs::enabled()) GTEST_SKIP() << "metrics disabled by the environment";
+  ProtocolCache cache;
+  auto protocol = cache.get_or_compile(kSmallSpec, config_of(11, 2));
+  ASSERT_TRUE(protocol.ok()) << protocol.error().message;
+  auto g = Framework::load_spec(kSmallSpec).value();
+  Message msg(g);
+  msg.set_uint("tag", 9);
+  msg.set("data", to_bytes("0123456789abcdef"));
+
+  obs::SessionMetrics& m = obs::SessionMetrics::get();
+  const std::uint64_t serialized_before = m.serialize_ns.count();
+  const std::uint64_t parsed_before = m.parse_ns.count();
+  constexpr std::uint32_t kCalls = 2 * obs::SessionMetrics::kSampleEvery;
+  Session session(*protocol);
+  for (std::uint32_t i = 0; i < kCalls; ++i) {
+    auto wire = session.serialize(msg.root(), i);
+    ASSERT_TRUE(wire.ok()) << wire.error().message;
+    const Bytes copy(wire->begin(), wire->end());
+    ASSERT_TRUE(session.parse(copy).ok());
+  }
+  EXPECT_EQ(m.serialize_ns.count() - serialized_before, 2u);
+  EXPECT_EQ(m.parse_ns.count() - parsed_before, 2u);
 }
 
 }  // namespace

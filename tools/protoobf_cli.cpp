@@ -44,8 +44,8 @@
 //       Live metrics viewer: polls /metrics.json on the admin endpoint a
 //       serve/soak run exposes (--metrics-port) and redraws a per-shard
 //       table of connections, traffic rates and frame-latency quantiles,
-//       plus session/native/reconnect summary lines. --once prints a
-//       single plain snapshot and exits (CI-friendly).
+//       plus session/reconnect summary lines. --once prints a single
+//       plain snapshot and exits (CI-friendly).
 //   protoobf lint <spec-file> [--seed N --per-node K] [--json] [--deny]
 //       Static analysis over the wire graph (src/analysis): decode
 //       ambiguity, frame bounds, holder-chain integrity, stream/datagram
@@ -55,18 +55,6 @@
 //       --per-node a specific compiled artifact is. --json emits one JSON
 //       object; --deny promotes warnings to the failing exit. Exit 0 =
 //       clean, 1 = gated findings, 2 = load error.
-//   protoobf compile <spec-file> --seed N --per-node K
-//       Pre-build the native unit for (spec, seed, per_node) into the
-//       shared on-disk cache ($PROTOOBF_NATIVE_CACHE, default
-//       /tmp/protoobf-native-<uid>) and print its path and cache key.
-//       Later serve/connect/stream runs with --native hit the artifact
-//       without paying the compile on the serving path.
-//
-// stream/serve/connect accept --native: parse/serialize through the
-// compiled generated unit instead of the interpreter (identical bytes,
-// see src/native/). When no toolchain is available in this environment —
-// no `c++` on PATH, or a build mode whose objects cannot be dlopen'd —
-// the command says so and falls back to the interpreter.
 //
 // Spec files use the ProtoSpec language (see README.md).
 #include <netdb.h>
@@ -96,7 +84,6 @@
 #include "fuzz/mutator.hpp"
 #include "fuzz/random_message.hpp"
 #include "fuzz/runner.hpp"
-#include "native/cache.hpp"
 #include "net/connector.hpp"
 #include "net/fault.hpp"
 #include "net/reconnect.hpp"
@@ -104,7 +91,6 @@
 #include "obs/export.hpp"
 #include "obs/families.hpp"
 #include "runtime/parse.hpp"
-#include "session/protocol_cache.hpp"
 #include "stream/channel.hpp"
 
 namespace {
@@ -114,18 +100,16 @@ using namespace protoobf;
 int usage() {
   std::fprintf(
       stderr,
-      "usage: protoobf <validate|lint|graph|obfuscate|codegen|compile|"
-      "stream|serve|connect|soak|fuzz|top> <spec-file> [--seed N] "
+      "usage: protoobf <validate|lint|graph|obfuscate|codegen|stream|"
+      "serve|connect|soak|fuzz|top> <spec-file> [--seed N] "
       "[--per-node K] [-o FILE]\n"
       "       lint extras: [--json] [--deny]  (identity graph by default; "
       "--per-node K lints the compiled artifact; --deny fails on warnings)\n"
-      "       serve/compile: [--no-lint]  (serve/compile refuse artifacts "
-      "with error-severity lint findings unless overridden)\n"
+      "       serve: [--no-lint]  (serve refuses artifacts with "
+      "error-severity lint findings unless overridden)\n"
       "       stream extras: [--emit COUNT] [--expect COUNT] "
       "[--msg-seed N] [--frame-width W] "
       "[--obf-frame SEED:PER_NODE] [--dump]\n"
-      "       stream/serve/connect: [--native]  (serve from the compiled "
-      "generated unit; falls back to the interpreter without a toolchain)\n"
       "       fuzz extras: [--iters N] [--chunked] [--whole] "
       "[--msg-seed N]  (env: PROTOOBF_FUZZ_SEED overrides --msg-seed)\n"
       "       serve extras: [--host H] [--port P] [--shards N] "
@@ -154,7 +138,7 @@ struct Options {
   // lint
   bool json = false;
   bool deny = false;     // promote warnings to the failing exit
-  bool no_lint = false;  // serve/compile: skip the error-severity gate
+  bool no_lint = false;  // serve: skip the error-severity gate
   // stream command
   std::size_t emit = 0;         // 0 = decode mode
   std::size_t expect = 0;       // decode: fail unless exactly N recovered
@@ -182,8 +166,6 @@ struct Options {
   std::size_t iters = 1000;
   bool chunked = false;  // force the chunk-split resume replay
   bool whole = false;    // force whole-message parses (no prefix replay)
-  // native backend (stream/serve/connect)
-  bool native = false;
   // observability (serve/soak/top)
   std::uint16_t metrics_port = 0;  // 0 = ephemeral
   bool metrics_port_set = false;
@@ -274,8 +256,6 @@ bool parse_args(int argc, char** argv, Options& opts) {
       opts.chunked = true;
     } else if (arg == "--whole") {
       opts.whole = true;
-    } else if (arg == "--native") {
-      opts.native = true;
     } else if (arg == "--metrics-port" && i + 1 < argc) {
       const unsigned long value = std::strtoul(argv[++i], nullptr, 0);
       if (value > 65535) {
@@ -313,46 +293,6 @@ Expected<Graph> load(const std::string& path) {
   return Framework::load_spec(*text);
 }
 
-// --- native backend ---------------------------------------------------------
-
-/// --native: build (or reuse from the shared on-disk cache) the compiled
-/// generated unit for this exact (spec, seed, per_node) and attach it, so
-/// the command's default parse/serialize entry points serve natively.
-/// Degrades to the interpreter with an explanation when the environment
-/// has no usable toolchain or the build fails — never hard-errors, because
-/// the interpreted path is always correct.
-void maybe_attach_native(const ObfuscatedProtocol& protocol,
-                         const Options& opts) {
-  if (!opts.native) return;
-  if (!native::NativeCompiler::toolchain_available()) {
-    std::fprintf(stderr, "--native unavailable (%s); serving interpreted\n",
-                 native::NativeCompiler::toolchain_status().c_str());
-    return;
-  }
-  auto text = read_text(opts.spec_path);
-  if (!text.ok()) {
-    std::fprintf(stderr, "--native failed (%s); serving interpreted\n",
-                 text.error().message.c_str());
-    return;
-  }
-  ObfuscationConfig cfg;
-  cfg.seed = opts.seed;
-  cfg.per_node = opts.per_node;
-  // The cache object is transient; the attached backend keeps the .so
-  // mapped for as long as the protocol serves from it.
-  native::NativeCache cache;
-  auto backend =
-      cache.get_or_compile(protocol, ProtocolCache::hash_spec(*text), cfg);
-  if (!backend.ok()) {
-    std::fprintf(stderr, "--native build failed (%s); serving interpreted\n",
-                 backend.error().message.c_str());
-    return;
-  }
-  const std::string& so = (*backend)->unit().path();
-  protocol.attach_wire_backend(*backend);
-  std::fprintf(stderr, "native unit attached: %s\n", so.c_str());
-}
-
 // --- lint -------------------------------------------------------------------
 
 int cmd_lint(const Options& opts) {
@@ -386,72 +326,19 @@ int cmd_lint(const Options& opts) {
   return gated ? 1 : 0;
 }
 
-/// The serve/compile hard gate: error-severity lint findings refuse the
+/// The serve hard gate: error-severity lint findings refuse the
 /// artifact (a wrong artifact on the wire is worse than a refused start).
 /// --no-lint is the operator's escape hatch.
-bool lint_gate(const ObfuscatedProtocol& protocol, const Options& opts,
-               const char* action) {
+bool lint_gate(const ObfuscatedProtocol& protocol, const Options& opts) {
   if (opts.no_lint) return true;
   const analysis::Report report = analysis::analyze(protocol);
   if (report.clean()) return true;
   std::fputs(analysis::render_text(report).c_str(), stderr);
   std::fprintf(stderr,
-               "refusing to %s: %zu error-severity lint finding(s) "
-               "(--no-lint overrides)\n",
-               action, report.errors());
+               "refusing to serve this artifact: %zu error-severity lint "
+               "finding(s) (--no-lint overrides)\n",
+               report.errors());
   return false;
-}
-
-int cmd_compile(const Options& opts) {
-  auto text = read_text(opts.spec_path);
-  if (!text.ok()) {
-    std::fprintf(stderr, "error: %s\n", text.error().message.c_str());
-    return 1;
-  }
-  auto graph = Framework::load_spec(*text);
-  if (!graph.ok()) {
-    std::fprintf(stderr, "error: %s\n", graph.error().message.c_str());
-    return 1;
-  }
-  ObfuscationConfig cfg;
-  cfg.seed = opts.seed;
-  cfg.per_node = opts.per_node;
-  auto protocol = Framework::generate(*graph, cfg);
-  if (!protocol.ok()) {
-    std::fprintf(stderr, "error: %s\n", protocol.error().message.c_str());
-    return 1;
-  }
-  if (!lint_gate(*protocol, opts, "compile the native unit")) return 1;
-  if (!native::NativeCompiler::toolchain_available()) {
-    std::fprintf(stderr, "error: no usable native toolchain: %s\n",
-                 native::NativeCompiler::toolchain_status().c_str());
-    return 1;
-  }
-  const std::uint64_t spec_hash = ProtocolCache::hash_spec(*text);
-  native::NativeCompiler compiler;
-  auto built = compiler.compile(
-      *protocol,
-      native::NativeCompiler::cache_file_base(
-          *protocol, spec_hash, opts.seed,
-          static_cast<std::size_t>(opts.per_node)));
-  if (!built.ok()) {
-    std::fprintf(stderr, "error: %s\n", built.error().message.c_str());
-    return 1;
-  }
-  std::printf("unit: %s\n", built->unit->path().c_str());
-  std::printf("key: spec %016llx seed %llu per-node %d, fingerprint %016llx\n",
-              static_cast<unsigned long long>(spec_hash),
-              static_cast<unsigned long long>(opts.seed), opts.per_node,
-              static_cast<unsigned long long>(built->unit->fingerprint()));
-  if (built->disk_hit) {
-    std::printf("cache hit: reused the on-disk unit, no compile\n");
-  } else {
-    std::printf("%s in %.0f ms\n",
-                built->recompiled ? "recompiled (stale or corrupt artifact)"
-                                  : "compiled",
-                built->compile_ms);
-  }
-  return 0;
 }
 
 int cmd_validate(const Options& opts) {
@@ -599,7 +486,6 @@ int cmd_stream(const Options& opts) {
   }
   auto protocol =
       std::make_shared<const ObfuscatedProtocol>(std::move(*compiled));
-  maybe_attach_native(*protocol, opts);
 
   // Framing layer: transparent length prefix, or the obfuscated frame spec
   // when both ends agreed on --obf-frame SEED:PER_NODE.
@@ -752,8 +638,7 @@ int cmd_serve(const Options& opts) {
     std::fprintf(stderr, "error: %s\n", protocol.error().message.c_str());
     return 1;
   }
-  if (!lint_gate(**protocol, opts, "serve this artifact")) return 1;
-  maybe_attach_native(**protocol, opts);
+  if (!lint_gate(**protocol, opts)) return 1;
   auto factory = framer_factory_of(opts);
   if (!factory.ok()) {
     std::fprintf(stderr, "error: %s\n", factory.error().message.c_str());
@@ -851,7 +736,6 @@ int cmd_connect(const Options& opts) {
     std::fprintf(stderr, "error: %s\n", protocol.error().message.c_str());
     return 1;
   }
-  maybe_attach_native(**protocol, opts);
   // The G1 view the random messages are built against — taken from the
   // compiled protocol so it cannot diverge from what serialization uses.
   const Graph& graph = (*protocol)->original();
@@ -1460,14 +1344,6 @@ void render_top(const Options& opts, const FlatSnapshot& snap,
        value_or(snap.counters, "protoobf_session_protocol_cache_hits_total"),
        value_or(snap.counters,
                 "protoobf_session_protocol_cache_misses_total"));
-  const HistRow compile = hist("protoobf_native_compile_ns");
-  emit("native     hits %.0f  disk %.0f  recompiles %.0f (p50 %.0fms)  "
-       "poisoned %.0f\n",
-       value_or(snap.counters, "protoobf_native_cache_hits_total"),
-       value_or(snap.counters, "protoobf_native_disk_hits_total"),
-       value_or(snap.counters, "protoobf_native_recompiles_total"),
-       compile.p50 / 1e6,
-       value_or(snap.counters, "protoobf_native_poisoned_total"));
   emit("reconnect  sent %.0f  resent %.0f  acked %.0f  dials %.0f  "
        "reconnects %.0f  unacked %.0f\n",
        value_or(snap.counters, "protoobf_reconnect_sent_total"),
@@ -1628,7 +1504,6 @@ int main(int argc, char** argv) {
   if (opts.command == "graph") return cmd_graph(opts);
   if (opts.command == "obfuscate") return cmd_obfuscate(opts);
   if (opts.command == "codegen") return cmd_codegen(opts);
-  if (opts.command == "compile") return cmd_compile(opts);
   if (opts.command == "stream") return cmd_stream(opts);
   if (opts.command == "serve") return cmd_serve(opts);
   if (opts.command == "connect") return cmd_connect(opts);
