@@ -947,12 +947,8 @@ Report analyze_parts(const Graph& /*original*/, const Graph& wire,
 }
 
 Report analyze(const ObfuscatedProtocol& protocol, const Options& options) {
-  // The holder table is private runtime state; rebuild it the same way the
-  // runtime does, from the original graph and the journal.
-  const HolderTable holders =
-      build_holder_table(protocol.original(), protocol.journal());
   return analyze_parts(protocol.original(), protocol.wire_graph(),
-                       protocol.journal(), holders, options);
+                       protocol.journal(), protocol.holders(), options);
 }
 
 Report analyze_graph(const Graph& g1, const Options& options) {

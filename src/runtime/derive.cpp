@@ -66,6 +66,18 @@ Status collect_pairs(const Graph& graph, Inst& root,
       scopes);
 }
 
+/// True when the holder's wire subtree already inverts, through its own
+/// lineage, to `value`. A holder no entry transforms is compared in place.
+bool carries(const Inst& holder, const HolderInfo& info,
+             const Journal& journal, const Bytes& value, InstPool* pool) {
+  if (info.chain.empty()) {
+    return holder.schema == info.origin && holder.value == value;
+  }
+  auto logical = invert_chain(holder, journal, info.chain, pool);
+  return logical && (*logical)->schema == info.origin &&
+         (*logical)->value == value;
+}
+
 }  // namespace
 
 Status fill_consts(const Graph& graph, Inst& root) {
@@ -205,12 +217,7 @@ Status fix_holders(const Graph& wire, const Journal& journal,
         return s;
       }
 
-      // Skip the rebuild if the holder already carries this logical value.
-      auto current = invert_clone(*pair.holder, journal, pool);
-      if (current && (*current)->schema == info->origin &&
-          (*current)->value == encoded) {
-        continue;
-      }
+      if (carries(*pair.holder, *info, journal, encoded, pool)) continue;
 
       Rng rng(msg_seed ^ (0x9e3779b97f4a7c15ull * (k + 1)));
       auto rebuilt =

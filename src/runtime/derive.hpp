@@ -24,6 +24,7 @@
 #include "ast/ast.hpp"
 #include "graph/graph.hpp"
 #include "runtime/scope.hpp"
+#include "transform/exec.hpp"
 #include "transform/lineage.hpp"
 #include "util/bytes.hpp"
 #include "util/result.hpp"
@@ -49,6 +50,7 @@ struct DeriveScratch {
   std::vector<DeriveRef> pairs;  // fixpoint work list
   std::vector<Inst*> matches;    // canonicalize() placeholder targets
   Bytes encoded;                 // holder-encoding buffer
+  EntryStreams streams;          // serialize's per-entry random streams
 };
 
 /// Fills empty constant fields; errors if a non-empty value contradicts the
@@ -79,7 +81,8 @@ Status canonicalize(const Graph& g1, Inst& root,
                     DeriveScratch* scratch = nullptr);
 
 /// Wire derivation on the transformed tree: recomputes every holder from
-/// the final wire sizes/counts and replays its transformation lineage.
+/// the final wire sizes/counts and replays its transformation lineage. A
+/// holder whose lineage already inverts to the fresh value is left alone.
 /// `msg_seed` keeps the replayed randomness deterministic per message;
 /// `pool`, when given, backs the rebuilt holder subtrees so steady-state
 /// sessions rebuild without heap traffic, and `scopes` the fixpoint walks.

@@ -95,29 +95,45 @@ class WireParser {
     return Unexpected(what, r.pos);
   }
 
-  /// Logical value of an already-parsed reference target: pool-copy the
-  /// holder subtree and invert every transformation inside it. The caller
-  /// reads the value out of the returned (single-terminal) tree, so no
-  /// extra byte copy is made.
-  Expected<InstPtr> logical_tree(const Inst& holder, const Reader& r) const {
-    auto logical = invert_clone(holder, journal_, nodes_);
-    if (!logical) return Unexpected(logical.error());
-    if (!(*logical)->children.empty()) {
+  /// Logical value of an already-parsed reference target, recovered by
+  /// inverting only its own lineage chain (`info`). A target no entry
+  /// transforms is read in place; otherwise `keep` holds the pooled,
+  /// inverted copy the returned view points into.
+  Expected<BytesView> logical_value(const HolderInfo& info, const Inst& target,
+                                    InstPtr& keep, const Reader& r) const {
+    const Inst* logical = &target;
+    if (!info.chain.empty()) {
+      auto inverted = invert_chain(target, journal_, info.chain, nodes_);
+      if (!inverted) return Unexpected(inverted.error());
+      keep = std::move(*inverted);
+      logical = keep.get();
+    }
+    if (!logical->children.empty()) {
       return fail(r, "reference target does not invert to a terminal");
     }
-    return logical;
+    return BytesView(logical->value);
+  }
+
+  Expected<const HolderInfo*> lineage(NodeId ref, const Reader& r) const {
+    const HolderInfo* info = table_.find_reference(ref);
+    if (info == nullptr) {
+      return fail(r, "reference target '" + wire_.node(ref).name +
+                         "' has no lineage");
+    }
+    return info;
   }
 
   /// Logical scalar of a holder (length or count), decoded with the origin
   /// terminal's encoding.
   Expected<std::uint64_t> scalar(NodeId ref, const Inst& holder,
                                  const Reader& r) const {
-    auto logical = logical_tree(holder, r);
+    auto info = lineage(ref, r);
+    if (!info) return Unexpected(info.error());
+    InstPtr keep;
+    auto logical = logical_value(**info, holder, keep, r);
     if (!logical) return Unexpected(logical.error());
-    const Bytes& bytes = (*logical)->value;
-    const HolderInfo* info = table_.find_by_top(ref);
-    const NodeId origin = info != nullptr ? info->origin : ref;
-    const Node& n = wire_.node(origin);
+    const BytesView bytes = *logical;
+    const Node& n = wire_.node((*info)->origin);
     if (n.encoding == Encoding::AsciiDec) {
       auto value = ascii_dec_decode(bytes);
       if (!value) return fail(r, "holder is not a decimal number");
@@ -387,9 +403,12 @@ class WireParser {
         if (!restored && n.condition.kind != Condition::Kind::Always) {
           auto ref = lookup(n.condition.ref, r);
           if (!ref) return Unexpected(ref.error());
-          auto logical = logical_tree(**ref, r);
+          auto info = lineage(n.condition.ref, r);
+          if (!info) return Unexpected(info.error());
+          InstPtr keep;
+          auto logical = logical_value(**info, **ref, keep, r);
           if (!logical) return Unexpected(logical.error());
-          present = n.condition.evaluate((*logical)->value);
+          present = n.condition.evaluate(*logical);
         }
         if (present) {
           if (!restored) inst = ast::make(nodes_, id);

@@ -5,8 +5,9 @@
 // sub-node of AST from the message, it must first delimit the corresponding
 // sub-part"): a Length/Counter/Condition target may itself have been
 // transformed — split in two, xored, wrapped — so the parser recovers its
-// *logical* value by inverting the journal over the already-parsed holder
-// subtree before using it to delimit what follows.
+// *logical* value by inverting the target's own lineage chain
+// (transform/lineage.hpp) over the already-parsed subtree before using it
+// to delimit what follows.
 #pragma once
 
 #include "ast/ast.hpp"
@@ -22,7 +23,7 @@ namespace protoobf {
 
 /// Parses a complete wire message. Errors carry the wire offset where the
 /// failure was detected. The returned tree instantiates the *final* graph;
-/// run transform/exec.hpp's inverse_all to recover the G1 tree.
+/// run transform/exec.hpp's inverse_program to recover the G1 tree.
 ///
 /// `scratch`, when given, supplies reusable buffers for the reversed copies
 /// of mirrored regions so steady-state parsing stops allocating them, and

@@ -1,5 +1,7 @@
 #include "runtime/persist.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <sstream>
 #include <vector>
 
@@ -53,6 +55,14 @@ void save_graph(std::ostringstream& out, const char* label, const Graph& g) {
   }
 }
 
+/// Parses a whole field as a number; false on junk, sign or overflow.
+template <typename T>
+bool parse_number(const std::string& field, T& out) {
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
+
 class Loader {
  public:
   explicit Loader(std::string_view text) : in_(std::string(text)) {}
@@ -75,9 +85,12 @@ class Loader {
     if (!next(line) || line.rfind("journal ", 0) != 0) {
       return Unexpected("missing journal line");
     }
-    const std::size_t count = std::stoul(line.substr(8));
+    malformed_ = false;
+    const auto count = num<std::size_t>(line.substr(8));
+    if (malformed_) return Unexpected("malformed journal line: " + line);
     Journal journal;
-    journal.reserve(count);
+    // The count is untrusted: never reserve more than a real journal has.
+    journal.reserve(std::min<std::size_t>(count, 4096));
     for (std::size_t i = 0; i < count; ++i) {
       if (!next(line)) return Unexpected("truncated journal");
       auto entry = parse_entry(line);
@@ -105,9 +118,25 @@ class Loader {
     return fields;
   }
 
-  static NodeId parse_id(const std::string& field) {
-    return field == "-" ? kNoNode
-                        : static_cast<NodeId>(std::stoul(field));
+  /// Number fields. Junk sets malformed_ (callers reset it per line and
+  /// check it once the line is read) instead of throwing.
+  template <typename T>
+  T num(const std::string& field) {
+    T out{};
+    if (!parse_number(field, out)) malformed_ = true;
+    return out;
+  }
+
+  NodeId parse_id(const std::string& field) {
+    return field == "-" ? kNoNode : num<NodeId>(field);
+  }
+
+  /// An enum stored as its integer value, at most `last`.
+  template <typename E>
+  E parse_enum(const std::string& field, E last) {
+    const auto value = num<unsigned>(field);
+    if (value > static_cast<unsigned>(last)) malformed_ = true;
+    return static_cast<E>(value);
   }
 
   static Expected<Bytes> parse_hex(const std::string& field) {
@@ -124,8 +153,10 @@ class Loader {
     }
     const auto header = split(line);
     if (header.size() != 4) return Unexpected("malformed graph header");
-    const std::size_t arena = std::stoul(header[2]);
+    malformed_ = false;
+    const auto arena = num<std::size_t>(header[2]);
     const NodeId root = parse_id(header[3]);
+    if (malformed_) return Unexpected("malformed graph header: " + line);
 
     Graph g(name);
     for (std::size_t k = 0; k < arena; ++k) {
@@ -134,23 +165,24 @@ class Loader {
       if (f.size() != 17 || f[0] != "node") {
         return Unexpected("malformed node line: " + line);
       }
+      malformed_ = false;
       Node n;
       n.name = f[2];
-      n.type = static_cast<NodeType>(std::stoi(f[3]));
-      n.boundary = static_cast<BoundaryKind>(std::stoi(f[4]));
-      n.fixed_size = std::stoul(f[5]);
+      n.type = parse_enum(f[3], NodeType::Tabular);
+      n.boundary = parse_enum(f[4], BoundaryKind::Half);
+      n.fixed_size = num<std::size_t>(f[5]);
       auto delim = parse_hex(f[6]);
       if (!delim.ok()) return Unexpected(delim.error());
       n.delimiter = std::move(delim.value());
       n.ref = parse_id(f[7]);
-      n.encoding = static_cast<Encoding>(std::stoi(f[8]));
+      n.encoding = parse_enum(f[8], Encoding::AsciiDec);
       n.has_const = f[9] == "1";
       auto cv = parse_hex(f[10]);
       if (!cv.ok()) return Unexpected(cv.error());
       n.const_value = std::move(cv.value());
       n.mirrored = f[11] == "1";
       n.parent = parse_id(f[12]);
-      n.condition.kind = static_cast<Condition::Kind>(std::stoi(f[13]));
+      n.condition.kind = parse_enum(f[13], Condition::Kind::NonZero);
       n.condition.ref = parse_id(f[14]);
       if (f[15] != "-") {
         std::istringstream values(f[15]);
@@ -165,12 +197,28 @@ class Loader {
         std::istringstream children(f[16]);
         std::string piece;
         while (std::getline(children, piece, ',')) {
-          n.children.push_back(static_cast<NodeId>(std::stoul(piece)));
+          n.children.push_back(num<NodeId>(piece));
         }
       }
-      const NodeId assigned = g.add_node(std::move(n));
-      if (assigned != static_cast<NodeId>(std::stoul(f[1]))) {
+      const NodeId declared = num<NodeId>(f[1]);
+      if (malformed_) return Unexpected("malformed node line: " + line);
+      if (g.add_node(std::move(n)) != declared) {
         return Unexpected("node ids out of order in artifact");
+      }
+    }
+    // Validation walks the graph by these ids; keep them inside the arena.
+    const auto inside = [&](NodeId id) { return id < g.arena_size(); };
+    if (!inside(root)) return Unexpected("graph root outside the arena");
+    for (NodeId id = 0; id < g.arena_size(); ++id) {
+      const Node& n = g.node(id);
+      const bool ok =
+          std::all_of(n.children.begin(), n.children.end(), inside) &&
+          (n.ref == kNoNode || inside(n.ref)) &&
+          (n.parent == kNoNode || inside(n.parent)) &&
+          (n.condition.ref == kNoNode || inside(n.condition.ref));
+      if (!ok) {
+        return Unexpected("node '" + n.name + "' references an id outside "
+                          "the arena");
       }
     }
     g.set_root(root);
@@ -182,8 +230,10 @@ class Loader {
     if (f.size() != 18 || f[0] != "entry") {
       return Unexpected("malformed journal entry: " + line);
     }
+    malformed_ = false;
     AppliedTransform e;
-    e.kind = static_cast<TransformKind>(std::stoi(f[1]));
+    // Kinds beyond the enum are rejected when the journal is compiled.
+    e.kind = static_cast<TransformKind>(num<std::uint8_t>(f[1]));
     e.target = parse_id(f[2]);
     e.replacement = parse_id(f[3]);
     e.created_seq = parse_id(f[4]);
@@ -195,17 +245,19 @@ class Loader {
     auto key = parse_hex(f[10]);
     if (!key.ok()) return Unexpected(key.error());
     e.key = std::move(key.value());
-    e.split_point = std::stoul(f[11]);
-    e.pad_index = std::stoul(f[12]);
-    e.pad_size = std::stoul(f[13]);
-    e.child_i = std::stoi(f[14]);
-    e.child_j = std::stoi(f[15]);
-    e.len_width = std::stoul(f[16]);
+    e.split_point = num<std::size_t>(f[11]);
+    e.pad_index = num<std::size_t>(f[12]);
+    e.pad_size = num<std::size_t>(f[13]);
+    e.child_i = num<int>(f[14]);
+    e.child_j = num<int>(f[15]);
+    e.len_width = num<std::size_t>(f[16]);
     e.len_ascii = f[17] == "1";
+    if (malformed_) return Unexpected("malformed journal entry: " + line);
     return e;
   }
 
   std::istringstream in_;
+  bool malformed_ = false;  // a number field of the current line was junk
 };
 
 }  // namespace

@@ -4,15 +4,16 @@
 #include "runtime/derive.hpp"
 #include "runtime/parse.hpp"
 #include "transform/exec.hpp"
-#include "util/rng.hpp"
 
 namespace protoobf {
 
-ObfuscatedProtocol::ObfuscatedProtocol(Graph original, ObfuscationResult result)
+ObfuscatedProtocol::ObfuscatedProtocol(Graph original, ObfuscationResult result,
+                                       JournalProgram program)
     : original_(std::move(original)),
       wire_(std::move(result.graph)),
       journal_(std::move(result.journal)),
       stats_(result.stats),
+      program_(std::move(program)),
       holders_(build_holder_table(original_, journal_)),
       canon_holders_(canonical_holder_ids(original_)) {}
 
@@ -20,7 +21,10 @@ Expected<ObfuscatedProtocol> ObfuscatedProtocol::create(
     const Graph& g1, const ObfuscationConfig& config) {
   auto result = obfuscate(g1, config);
   if (!result) return Unexpected(result.error());
-  return ObfuscatedProtocol(g1.clone(), std::move(*result));
+  auto program = compile_program(g1, result->graph, result->journal);
+  if (!program) return Unexpected(program.error());
+  return ObfuscatedProtocol(g1.clone(), std::move(*result),
+                            std::move(*program));
 }
 
 Expected<ObfuscatedProtocol> ObfuscatedProtocol::from_parts(Graph original,
@@ -33,12 +37,17 @@ Expected<ObfuscatedProtocol> ObfuscatedProtocol::from_parts(Graph original,
   if (Status s = validate(wire); !s) {
     return Unexpected("artifact wire graph invalid: " + s.error().message);
   }
+  auto program = compile_program(original, wire, journal);
+  if (!program) {
+    return Unexpected("artifact journal invalid: " + program.error().message);
+  }
   ObfuscationResult result{std::move(wire), std::move(journal), {}};
   result.stats.applied = result.journal.size();
   for (const AppliedTransform& e : result.journal) {
     ++result.stats.per_kind[static_cast<std::size_t>(e.kind)];
   }
-  return ObfuscatedProtocol(std::move(original), std::move(result));
+  return ObfuscatedProtocol(std::move(original), std::move(result),
+                            std::move(*program));
 }
 
 Expected<Bytes> ObfuscatedProtocol::serialize(
@@ -70,8 +79,14 @@ Status ObfuscatedProtocol::serialize_into(const Inst& message,
   }
   if (Status s = check_presence(original_, *tree, scopes); !s) return s;
 
-  Rng rng(msg_seed);
-  if (Status s = forward_all(tree, journal_, rng, nodes); !s) return s;
+  DeriveScratch local_scratch;
+  if (derive == nullptr) derive = &local_scratch;
+  derive->streams.reset(msg_seed, journal_.size());
+  if (Status s = forward_program(tree, program_, journal_, derive->streams,
+                                 nodes);
+      !s) {
+    return s;
+  }
   if (Status s = fix_holders(wire_, journal_, holders_, *tree, msg_seed,
                              nodes, scopes, derive);
       !s) {
@@ -109,7 +124,7 @@ Expected<InstPtr> ObfuscatedProtocol::finish_parse(Expected<InstPtr> tree,
                                                    ScopeChain* scopes,
                                                    DeriveScratch* derive) const {
   if (!tree) return tree;
-  if (Status s = inverse_all(*tree, journal_, nodes); !s) {
+  if (Status s = inverse_program(*tree, program_, journal_, nodes); !s) {
     return Unexpected(s.error());
   }
   // fill_consts doubles as an integrity check: a recovered constant field

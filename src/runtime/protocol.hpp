@@ -4,9 +4,10 @@
 // message parser and the corresponding message serializer". This class is
 // the executable equivalent of that generated library (src/codegen emits
 // the literal source-code rendition): it bundles the original graph G1, the
-// final graph G(n+1), the transformation journal, and the derived-field
-// lineage, and exposes serialize()/parse() that perform the transformations
-// on the fly exactly as the paper's generated code does.
+// final graph G(n+1), the transformation journal compiled into per-node
+// programs, and the derived-field lineage, and exposes serialize()/parse()
+// that perform each node's transformations on the fly at that node's
+// instances, as the paper's generated code does.
 //
 // Round-trip contract (property-tested): for any message m built against
 // G1, parse(serialize(m)) compares equal to canonical(m) — canonical
@@ -34,7 +35,8 @@ class ObfuscatedProtocol {
                                              const ObfuscationConfig& config);
 
   /// Rebuilds a protocol from persisted parts (runtime/persist.hpp). Both
-  /// graphs are re-validated; statistics are recomputed from the journal.
+  /// graphs are re-validated, the journal is checked against them while it
+  /// is compiled (compile_program), and statistics are recomputed from it.
   static Expected<ObfuscatedProtocol> from_parts(Graph original, Graph wire,
                                                  Journal journal);
 
@@ -42,6 +44,11 @@ class ObfuscatedProtocol {
   const Graph& wire_graph() const { return wire_; }
   const Journal& journal() const { return journal_; }
   const ObfuscationStats& stats() const { return stats_; }
+
+  /// The compiled journal and the lineage table serialize()/parse() run
+  /// on.
+  const JournalProgram& program() const { return program_; }
+  const HolderTable& holders() const { return holders_; }
 
   /// Serializes a logical message (an instance of G1). `msg_seed` drives the
   /// per-message randomness (split halves, pad bytes): the same message with
@@ -99,7 +106,8 @@ class ObfuscatedProtocol {
   Status canonicalize(Inst& message) const;
 
  private:
-  ObfuscatedProtocol(Graph original, ObfuscationResult result);
+  ObfuscatedProtocol(Graph original, ObfuscationResult result,
+                     JournalProgram program);
 
   Expected<InstPtr> finish_parse(Expected<InstPtr> tree, InstPool* nodes,
                                  ScopeChain* scopes,
@@ -109,6 +117,7 @@ class ObfuscatedProtocol {
   Graph wire_;
   Journal journal_;
   ObfuscationStats stats_;
+  JournalProgram program_;
   HolderTable holders_;
   std::vector<NodeId> canon_holders_;  // canonical_holder_ids(original_)
 };

@@ -15,8 +15,8 @@ Unexpected exec_fail(const AppliedTransform& entry, const std::string& what) {
 // Replacement nodes come from the pool (recycled node + recycled payload
 // capacity) and replaced nodes return to it, so steady-state journal replay
 // touches the heap only while buffers are still growing toward their
-// high-water capacity. Randomness is drawn in exactly the order the
-// original heap implementation drew it, keeping wire images bit-identical.
+// high-water capacity. Randomness is drawn in the same order either way,
+// keeping pooled and heap wire images bit-identical.
 
 Status forward_split(InstPtr& p, const AppliedTransform& e, Rng& rng,
                      InstPool* pool) {
@@ -222,7 +222,7 @@ Status inverse_group_split(InstPtr& p, const AppliedTransform& e, bool has_cnt,
 Status forward_child_move(Inst& p, const AppliedTransform& e) {
   const auto i = static_cast<std::size_t>(e.child_i);
   const auto j = static_cast<std::size_t>(e.child_j);
-  if (j >= p.children.size()) {
+  if (i >= p.children.size() || j >= p.children.size()) {
     return exec_fail(e, "swap index out of range");
   }
   std::swap(p.children[i], p.children[j]);
@@ -233,57 +233,115 @@ Status forward_child_move(Inst& p, const AppliedTransform& e) {
 
 /// Applies `op` at each instance whose schema equals `match`, bottom-first
 /// is not needed: an instance of `match` can never nest inside another one.
+/// The walk never descends through a node `bound` does not admit.
 template <typename Op>
-Status for_each_match(InstPtr& p, NodeId match, Op&& op) {
+Status for_each_match(InstPtr& p, NodeId match, WalkBound bound, Op&& op) {
   if (p->schema == match) return op(p);
-  if (!p->present) return Status::success();
+  if (!p->present || !bound.admits(p->schema)) return Status::success();
   for (InstPtr& child : p->children) {
-    if (Status s = for_each_match(child, match, op); !s) return s;
+    if (Status s = for_each_match(child, match, bound, op); !s) return s;
+  }
+  return Status::success();
+}
+
+// --- compiled passes --------------------------------------------------------
+
+/// Post-order: the children's programs run first, so a TabSplit/RepSplit
+/// at this node finds its elements already transformed.
+Status forward_node(InstPtr& slot, const JournalProgram& program,
+                    const Journal& journal, EntryStreams& streams,
+                    InstPool* pool) {
+  if (slot->present) {
+    for (InstPtr& child : slot->children) {
+      if (Status s = forward_node(child, program, journal, streams, pool); !s) {
+        return s;
+      }
+    }
+  }
+  const NodeId node = slot->schema;
+  const WalkBound bound{&program, node};
+  for (const std::uint32_t index : program.entries(node)) {
+    if (Status s =
+            forward_entry(slot, journal[index], streams[index], pool, bound);
+        !s) {
+      return s;
+    }
+  }
+  return Status::success();
+}
+
+/// Top-down: the slot's owner region collapses back to the owner's
+/// instance first, whose children are then the tops of their own regions.
+Status inverse_node(InstPtr& slot, const JournalProgram& program,
+                    const Journal& journal, InstPool* pool) {
+  const NodeId owner = program.owner_of(slot->schema);
+  const auto entries = program.entries(owner);
+  const WalkBound bound{&program, owner};
+  for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
+    if (Status s = inverse_entry(slot, journal[*it], pool, bound); !s) {
+      return s;
+    }
+  }
+  if (!slot->present) return Status::success();
+  for (InstPtr& child : slot->children) {
+    if (Status s = inverse_node(child, program, journal, pool); !s) return s;
   }
   return Status::success();
 }
 
 }  // namespace
 
+void EntryStreams::reset(std::uint64_t msg_seed, std::size_t entries) {
+  streams_.clear();
+  streams_.reserve(entries);
+  for (std::size_t i = 0; i < entries; ++i) {
+    // One SplitMix64 round over a distinct input per (message, entry)
+    // seeds each stream, so the streams are independent of each other
+    // and of the per-holder streams of the holder fix-up.
+    Rng key(msg_seed ^ (0xd1b54a32d192ed03ull * (i + 1)));
+    streams_.emplace_back(key.next_u64());
+  }
+}
+
 Status forward_entry(InstPtr& root, const AppliedTransform& entry, Rng& rng,
-                     InstPool* pool) {
+                     InstPool* pool, WalkBound bound) {
   switch (entry.kind) {
     case TransformKind::SplitAdd:
     case TransformKind::SplitSub:
     case TransformKind::SplitXor:
     case TransformKind::SplitCat:
-      return for_each_match(root, entry.target, [&](InstPtr& p) {
+      return for_each_match(root, entry.target, bound, [&](InstPtr& p) {
         return forward_split(p, entry, rng, pool);
       });
     case TransformKind::ConstAdd:
     case TransformKind::ConstSub:
     case TransformKind::ConstXor:
-      return for_each_match(root, entry.target, [&](InstPtr& p) {
+      return for_each_match(root, entry.target, bound, [&](InstPtr& p) {
         forward_const(*p, entry);
         return Status::success();
       });
     case TransformKind::BoundaryChange:
-      return for_each_match(root, entry.target, [&](InstPtr& p) {
+      return for_each_match(root, entry.target, bound, [&](InstPtr& p) {
         return forward_boundary_change(p, entry, pool);
       });
     case TransformKind::PadInsert:
-      return for_each_match(root, entry.target, [&](InstPtr& p) {
+      return for_each_match(root, entry.target, bound, [&](InstPtr& p) {
         return forward_pad(*p, entry, rng, pool);
       });
     case TransformKind::ReadFromEnd:
       return Status::success();  // handled at emission/parse time
     case TransformKind::TabSplit:
-      return for_each_match(root, entry.target, [&](InstPtr& p) {
+      return for_each_match(root, entry.target, bound, [&](InstPtr& p) {
         return forward_group_split(p, entry, kNoNode, entry.created_a,
                                    entry.created_b, entry.created_c, pool);
       });
     case TransformKind::RepSplit:
-      return for_each_match(root, entry.target, [&](InstPtr& p) {
+      return for_each_match(root, entry.target, bound, [&](InstPtr& p) {
         return forward_group_split(p, entry, entry.created_a, entry.created_b,
                                    entry.created_c, entry.created_d, pool);
       });
     case TransformKind::ChildMove:
-      return for_each_match(root, entry.target, [&](InstPtr& p) {
+      return for_each_match(root, entry.target, bound, [&](InstPtr& p) {
         return forward_child_move(*p, entry);
       });
   }
@@ -291,54 +349,58 @@ Status forward_entry(InstPtr& root, const AppliedTransform& entry, Rng& rng,
 }
 
 Status inverse_entry(InstPtr& root, const AppliedTransform& entry,
-                     InstPool* pool) {
+                     InstPool* pool, WalkBound bound) {
   switch (entry.kind) {
     case TransformKind::SplitAdd:
     case TransformKind::SplitSub:
     case TransformKind::SplitXor:
     case TransformKind::SplitCat:
-      return for_each_match(root, entry.created_seq, [&](InstPtr& p) {
+      return for_each_match(root, entry.created_seq, bound, [&](InstPtr& p) {
         return inverse_split(p, entry, pool);
       });
     case TransformKind::ConstAdd:
     case TransformKind::ConstSub:
     case TransformKind::ConstXor:
-      return for_each_match(root, entry.target, [&](InstPtr& p) {
+      return for_each_match(root, entry.target, bound, [&](InstPtr& p) {
         inverse_const(*p, entry);
         return Status::success();
       });
     case TransformKind::BoundaryChange:
-      return for_each_match(root, entry.created_seq, [&](InstPtr& p) {
+      return for_each_match(root, entry.created_seq, bound, [&](InstPtr& p) {
         return inverse_boundary_change(p, entry);
       });
     case TransformKind::PadInsert:
-      return for_each_match(root, entry.target, [&](InstPtr& p) {
+      return for_each_match(root, entry.target, bound, [&](InstPtr& p) {
         return inverse_pad(*p, entry);
       });
     case TransformKind::ReadFromEnd:
       return Status::success();
     case TransformKind::TabSplit:
-      return for_each_match(root, entry.created_seq, [&](InstPtr& p) {
+      return for_each_match(root, entry.created_seq, bound, [&](InstPtr& p) {
         return inverse_group_split(p, entry, /*has_cnt=*/false,
                                    entry.created_c, pool);
       });
     case TransformKind::RepSplit:
-      return for_each_match(root, entry.created_seq, [&](InstPtr& p) {
+      return for_each_match(root, entry.created_seq, bound, [&](InstPtr& p) {
         return inverse_group_split(p, entry, /*has_cnt=*/true,
                                    entry.created_d, pool);
       });
     case TransformKind::ChildMove:
-      return for_each_match(root, entry.target, [&](InstPtr& p) {
+      return for_each_match(root, entry.target, bound, [&](InstPtr& p) {
         return forward_child_move(*p, entry);  // swap is its own inverse
       });
   }
   return Status::success();
 }
 
-Status forward_all(InstPtr& root, const Journal& journal, Rng& rng,
-                   InstPool* pool) {
-  for (const AppliedTransform& entry : journal) {
-    if (Status s = forward_entry(root, entry, rng, pool); !s) return s;
+Status forward_all(InstPtr& root, const Journal& journal,
+                   std::uint64_t msg_seed, InstPool* pool) {
+  EntryStreams streams;
+  streams.reset(msg_seed, journal.size());
+  for (std::size_t i = 0; i < journal.size(); ++i) {
+    if (Status s = forward_entry(root, journal[i], streams[i], pool); !s) {
+      return s;
+    }
   }
   return Status::success();
 }
@@ -350,11 +412,27 @@ Status inverse_all(InstPtr& root, const Journal& journal, InstPool* pool) {
   return Status::success();
 }
 
-Expected<InstPtr> invert_clone(const Inst& wire_subtree, const Journal& journal,
+Status forward_program(InstPtr& root, const JournalProgram& program,
+                       const Journal& journal, EntryStreams& streams,
+                       InstPool* pool) {
+  if (program.empty()) return Status::success();
+  return forward_node(root, program, journal, streams, pool);
+}
+
+Status inverse_program(InstPtr& root, const JournalProgram& program,
+                       const Journal& journal, InstPool* pool) {
+  if (program.empty()) return Status::success();
+  return inverse_node(root, program, journal, pool);
+}
+
+Expected<InstPtr> invert_chain(const Inst& wire_subtree, const Journal& journal,
+                               const std::vector<std::size_t>& chain,
                                InstPool* pool) {
   InstPtr copy = ast::copy(pool, wire_subtree);
-  if (Status s = inverse_all(copy, journal, pool); !s) {
-    return Unexpected(s.error());
+  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+    if (Status s = inverse_entry(copy, journal[*it], pool); !s) {
+      return Unexpected(s.error());
+    }
   }
   return copy;
 }

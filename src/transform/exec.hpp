@@ -3,16 +3,30 @@
 // The serializer runs the journal *forward* — the AST of G1 becomes, entry
 // by entry, the AST of G(n+1) that is then emitted. The parser runs it
 // *backward* on the tree recovered from the wire. Per-entry randomness
-// (SplitAdd's X1, pad bytes) is drawn from the serializer's message RNG and
-// never needs to be recorded: the inverse operations eliminate it.
+// (SplitAdd's X1, pad bytes) is drawn per message and never needs to be
+// recorded: the inverse operations eliminate it.
+//
+// Two executors share the per-entry operations:
+//   * the compiled one (forward_program / inverse_program) runs each G1
+//     node's program (transform/lineage.hpp's JournalProgram) at that
+//     node's own instances — one post-order pass to serialize, one
+//     top-down pass to parse, O(N + J) per message;
+//   * the sequential one (forward_all / inverse_all) replays the journal
+//     entry by entry over the whole tree, O(J × N). It is the reference
+//     the compiled executor is tested against.
+// Both draw entry i's bytes from its own keyed stream (EntryStreams), so
+// they emit identical wire images.
 //
 // Every operation satisfies inverse(forward(t)) == t by construction
-// (tested exhaustively in tests/transform_exec_test.cpp).
+// (tested exhaustively in tests/transform_test.cpp).
 #pragma once
+
+#include <vector>
 
 #include "ast/ast.hpp"
 #include "ast/pool.hpp"
 #include "transform/journal.hpp"
+#include "transform/lineage.hpp"
 #include "util/result.hpp"
 #include "util/rng.hpp"
 
@@ -24,25 +38,71 @@ namespace protoobf {
 /// replays journals with zero heap traffic in steady state. Null keeps the
 /// plain heap behaviour. Results are bit-identical either way.
 
+/// Per-entry randomness of one message. Entry i draws from its own
+/// SplitMix64 stream keyed on (msg_seed, i), and the stream carries over
+/// across that entry's instances within the message, so the drawn bytes
+/// do not depend on the order in which entries run. reset() keeps the
+/// capacity, so an arena-held instance costs no allocation per message.
+class EntryStreams {
+ public:
+  void reset(std::uint64_t msg_seed, std::size_t entries);
+  Rng& operator[](std::size_t index) { return streams_[index]; }
+
+ private:
+  std::vector<Rng> streams_;
+};
+
+/// Confines an entry's match walk to the instances of one owner: the walk
+/// descends only through nodes `program` assigns to `node` and stops at
+/// any other-owned node. The default (no program) walks the whole tree.
+struct WalkBound {
+  const JournalProgram* program = nullptr;
+  NodeId node = kNoNode;
+
+  bool admits(NodeId schema) const {
+    return program == nullptr || program->owner_of(schema) == node;
+  }
+};
+
 /// Applies one τi to every matching instance in the tree.
 Status forward_entry(InstPtr& root, const AppliedTransform& entry, Rng& rng,
-                     InstPool* pool = nullptr);
+                     InstPool* pool = nullptr, WalkBound bound = {});
 
 /// Applies τi⁻¹ to every matching instance in the tree.
 Status inverse_entry(InstPtr& root, const AppliedTransform& entry,
-                     InstPool* pool = nullptr);
+                     InstPool* pool = nullptr, WalkBound bound = {});
 
-/// Runs the whole journal forward (τ1 ... τn).
-Status forward_all(InstPtr& root, const Journal& journal, Rng& rng,
-                   InstPool* pool = nullptr);
+/// Sequential reference: runs the whole journal forward (τ1 ... τn), entry
+/// i drawing from EntryStreams' stream i for `msg_seed`.
+Status forward_all(InstPtr& root, const Journal& journal,
+                   std::uint64_t msg_seed, InstPool* pool = nullptr);
 
-/// Runs the whole journal backward (τn⁻¹ ... τ1⁻¹).
+/// Sequential reference: runs the whole journal backward (τn⁻¹ ... τ1⁻¹).
 Status inverse_all(InstPtr& root, const Journal& journal,
                    InstPool* pool = nullptr);
 
-/// Deep-copies a wire subtree and inverts every journal entry inside it.
-/// Used to recover the logical value of a reference target while parsing.
-Expected<InstPtr> invert_clone(const Inst& wire_subtree, const Journal& journal,
+/// Runs the compiled journal forward over a logical (G1) tree in one
+/// post-order pass: a node's program runs at its slot once its children's
+/// have. `streams` must have been reset for the message. Produces the same
+/// tree as forward_all with the same msg_seed; an empty journal returns
+/// without touching the tree.
+Status forward_program(InstPtr& root, const JournalProgram& program,
+                       const Journal& journal, EntryStreams& streams,
+                       InstPool* pool = nullptr);
+
+/// Inverts the compiled journal over a parsed wire tree in one top-down
+/// pass: each slot has its owner's program inverted (in reverse) before
+/// the pass descends into the slot's children. Same result as inverse_all.
+Status inverse_program(InstPtr& root, const JournalProgram& program,
+                       const Journal& journal, InstPool* pool = nullptr);
+
+/// Deep-copies the wire subtree of a referenced field and inverts its
+/// lineage `chain` (indices into the journal) in reverse, recovering the
+/// logical value of a holder or condition target. Entries outside the
+/// chain never match inside the subtree, so this equals inverting the
+/// whole journal over it.
+Expected<InstPtr> invert_chain(const Inst& wire_subtree, const Journal& journal,
+                               const std::vector<std::size_t>& chain,
                                InstPool* pool = nullptr);
 
 /// Rebuilds the wire subtree of a derived field: starts from the original

@@ -1,6 +1,7 @@
 #include "transform/lineage.hpp"
 
 #include <algorithm>
+#include <string>
 
 namespace protoobf {
 
@@ -39,18 +40,57 @@ HolderInfo trace(NodeId origin, std::size_t start, const Journal& journal) {
   return info;
 }
 
+Unexpected entry_fail(std::size_t index, const std::string& what) {
+  return Unexpected("journal entry " + std::to_string(index) + ": " + what);
+}
+
+/// The created-id slots a kind must fill. TabSplit's created_c and
+/// RepSplit's created_d (the rest wrapper) exist only for elements of three
+/// or more children, so they stay optional.
+bool requires_created(TransformKind kind, NodeId AppliedTransform::*slot) {
+  switch (kind) {
+    case TransformKind::SplitAdd:
+    case TransformKind::SplitSub:
+    case TransformKind::SplitXor:
+    case TransformKind::SplitCat:
+      return slot == &AppliedTransform::created_seq ||
+             slot == &AppliedTransform::created_a ||
+             slot == &AppliedTransform::created_b;
+    case TransformKind::BoundaryChange:
+      return slot == &AppliedTransform::created_seq ||
+             slot == &AppliedTransform::created_a;
+    case TransformKind::PadInsert:
+      return slot == &AppliedTransform::created_a;
+    case TransformKind::TabSplit:
+      return slot != &AppliedTransform::created_c &&
+             slot != &AppliedTransform::created_d;
+    case TransformKind::RepSplit:
+      return slot != &AppliedTransform::created_d;
+    default:
+      return false;
+  }
+}
+
 }  // namespace
 
 HolderTable build_holder_table(const Graph& g1, const Journal& journal) {
   HolderTable table;
 
   // Native holders: terminals of G1 referenced by Length/Counter boundaries.
+  // Condition targets: read (not derived) by every Optional that tests them.
   for (NodeId id : g1.dfs_order()) {
     const Node& n = g1.node(id);
-    if (n.type != NodeType::Terminal) continue;
-    if (g1.is_length_target(id) || g1.is_counter_target(id)) {
-      table.native.push_back(id);
+    if (n.type == NodeType::Terminal &&
+        (g1.is_length_target(id) || g1.is_counter_target(id))) {
       table.holders.push_back(trace(id, 0, journal));
+    }
+    if (n.type == NodeType::Optional &&
+        n.condition.kind != Condition::Kind::Always &&
+        n.condition.ref != kNoNode) {
+      const bool traced = std::any_of(
+          table.conditions.begin(), table.conditions.end(),
+          [&](const HolderInfo& c) { return c.origin == n.condition.ref; });
+      if (!traced) table.conditions.push_back(trace(n.condition.ref, 0, journal));
     }
   }
 
@@ -66,7 +106,94 @@ HolderTable build_holder_table(const Graph& g1, const Journal& journal) {
   for (std::size_t i = 0; i < table.holders.size(); ++i) {
     table.by_top[table.holders[i].top] = i;
   }
+  for (std::size_t i = 0; i < table.conditions.size(); ++i) {
+    table.condition_by_top[table.conditions[i].top] = i;
+  }
   return table;
+}
+
+Expected<JournalProgram> compile_program(const Graph& g1, const Graph& wire,
+                                         const Journal& journal) {
+  const std::size_t arena = wire.arena_size();
+  const std::size_t g1_arena = g1.arena_size();
+  if (g1_arena > arena) {
+    return Unexpected("original graph has more nodes than the wire graph");
+  }
+  JournalProgram program;
+  program.owner.assign(arena, kNoNode);
+  for (NodeId id = 0; id < g1_arena; ++id) program.owner[id] = id;
+
+  const auto in_arena = [&](NodeId id) {
+    return id == kNoNode || id < arena;
+  };
+  std::vector<NodeId> created;
+  std::vector<std::uint32_t> count(g1_arena + 1, 0);
+  for (std::size_t i = 0; i < journal.size(); ++i) {
+    const AppliedTransform& e = journal[i];
+    if (static_cast<std::size_t>(e.kind) >= kTransformKindCount) {
+      return entry_fail(i, "unknown transformation kind " +
+                               std::to_string(static_cast<int>(e.kind)));
+    }
+    if (e.target == kNoNode || e.target >= arena ||
+        program.owner[e.target] == kNoNode) {
+      return entry_fail(i, "target " + std::to_string(e.target) +
+                               " is neither a G1 node nor created earlier");
+    }
+    if (!in_arena(e.replacement) || !in_arena(e.element)) {
+      return entry_fail(i, "node id outside the wire graph");
+    }
+    if ((e.kind == TransformKind::TabSplit ||
+         e.kind == TransformKind::RepSplit) &&
+        (e.element == kNoNode || program.owner[e.element] == kNoNode)) {
+      return entry_fail(i, "split element is not a known node");
+    }
+    for (NodeId AppliedTransform::*slot :
+         {&AppliedTransform::created_seq, &AppliedTransform::created_a,
+          &AppliedTransform::created_b, &AppliedTransform::created_c,
+          &AppliedTransform::created_d}) {
+      const NodeId id = e.*slot;
+      if (id == kNoNode && requires_created(e.kind, slot)) {
+        return entry_fail(i, std::string(to_string(e.kind)) +
+                                 " without its created nodes");
+      }
+      if (!in_arena(id)) return entry_fail(i, "node id outside the wire graph");
+    }
+    created.clear();
+    add_created_ids(e, created);
+    const NodeId owner = program.owner[e.target];
+    for (NodeId id : created) {
+      if (program.owner[id] != kNoNode) {
+        return entry_fail(i, "node " + std::to_string(id) +
+                                 " is already defined");
+      }
+      program.owner[id] = owner;
+    }
+    switch (e.kind) {
+      case TransformKind::ConstAdd:
+      case TransformKind::ConstSub:
+      case TransformKind::ConstXor:
+        if (e.key.empty()) return entry_fail(i, "constant with an empty key");
+        break;
+      case TransformKind::ChildMove:
+        if (e.child_i < 0 || e.child_j < 0) {
+          return entry_fail(i, "negative child index");
+        }
+        break;
+      default:
+        break;
+    }
+    ++count[owner + 1];
+  }
+
+  // Counting sort by owner keeps each node's indices ascending.
+  for (std::size_t x = 0; x < g1_arena; ++x) count[x + 1] += count[x];
+  program.start = count;
+  program.indices.resize(journal.size());
+  for (std::size_t i = 0; i < journal.size(); ++i) {
+    const NodeId owner = program.owner[journal[i].target];
+    program.indices[count[owner]++] = static_cast<std::uint32_t>(i);
+  }
+  return program;
 }
 
 }  // namespace protoobf

@@ -1,4 +1,4 @@
-// Derived-field lineage tracking.
+// Derived-field lineage tracking and the compiled journal program.
 //
 // A "holder" is a terminal whose value is computed by the framework rather
 // than set by the application: a field referenced by some node's Length
@@ -14,16 +14,27 @@
 // ordered list of journal entries whose target lies inside the holder's
 // growing subtree; replaying that chain over a freshly computed logical
 // value rebuilds the holder's wire subtree (transform/exec.hpp's
-// rerun_chain). The serializer uses this to fix up every holder once the
-// final wire sizes are known.
+// rerun_chain), and inverting it recovers the logical value from the wire
+// subtree (invert_chain). The serializer uses this to fix up every holder
+// once the final wire sizes are known; the parser uses it to read lengths,
+// counts and presence conditions.
+//
+// The same created-ids propagation also compiles the whole journal into
+// per-node programs (JournalProgram): every wire node is owned by the G1
+// node whose transformations created it, so each G1 node's transformations
+// can run at that node's own instances, the way the paper's generated
+// library applies them inside each node's serialize and parse functions.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "graph/graph.hpp"
 #include "transform/journal.hpp"
+#include "util/result.hpp"
 
 namespace protoobf {
 
@@ -36,16 +47,66 @@ struct HolderInfo {
 struct HolderTable {
   std::vector<HolderInfo> holders;
   std::unordered_map<NodeId, std::size_t> by_top;  // wire top -> index
-  std::vector<NodeId> native;  // native holders (subset of origins)
+  // Optional condition targets are not holders (nothing derives them), but
+  // the parser reads their logical value the same way, through their own
+  // lineage.
+  std::vector<HolderInfo> conditions;
+  std::unordered_map<NodeId, std::size_t> condition_by_top;
 
   const HolderInfo* find_by_top(NodeId top) const {
     const auto it = by_top.find(top);
     return it == by_top.end() ? nullptr : &holders[it->second];
   }
+
+  /// Lineage of any referenced wire top: a holder's first, else a
+  /// condition target's. Null when `top` is neither.
+  const HolderInfo* find_reference(NodeId top) const {
+    if (const HolderInfo* holder = find_by_top(top)) return holder;
+    const auto it = condition_by_top.find(top);
+    return it == condition_by_top.end() ? nullptr : &conditions[it->second];
+  }
 };
 
 /// Scans the journal and computes every holder's origin, final wire top and
-/// replay chain. `g1` is the pre-obfuscation graph.
+/// replay chain, plus the lineage of every Optional condition target. `g1`
+/// is the pre-obfuscation graph.
 HolderTable build_holder_table(const Graph& g1, const Journal& journal);
+
+/// The journal indexed by owning G1 node.
+///
+/// owner[id] is defined for every wire-arena id: G1 ids own themselves and
+/// the ids an entry creates inherit the owner of its target. An entry
+/// belongs to the owner of its target, so entries(X) lists, ascending, the
+/// journal indices that transform G1 node X or the structure X's own
+/// transformations created. Entries of different owners commute, except
+/// that TabSplit/RepSplit consume their element node, whose own entries all
+/// come earlier: running each node's entries after its children's
+/// (serialize) and before them (parse) respects exactly that order.
+struct JournalProgram {
+  std::vector<NodeId> owner;            // wire id -> G1 owner (kNoNode: none)
+  std::vector<std::uint32_t> start;     // G1 id -> offset into `indices`
+  std::vector<std::uint32_t> indices;   // journal indices grouped by owner
+
+  bool empty() const { return indices.empty(); }
+
+  /// Owner of a wire-graph id, kNoNode when no G1 node or entry defines it.
+  NodeId owner_of(NodeId id) const {
+    return id < owner.size() ? owner[id] : kNoNode;
+  }
+
+  /// Ascending journal indices owned by G1 node `node` (empty when none).
+  std::span<const std::uint32_t> entries(NodeId node) const {
+    if (node + std::size_t{1} >= start.size()) return {};
+    return {indices.data() + start[node], indices.data() + start[node + 1]};
+  }
+};
+
+/// Validates the journal against both graphs and compiles it. Every id an
+/// entry names must be inside the wire arena (or kNoNode where the kind
+/// allows it), every target must exist by its entry (a G1 node, or created
+/// by an earlier entry), every created id must be fresh and claimed once,
+/// and kind-specific parameters must be usable. O(J + arena).
+Expected<JournalProgram> compile_program(const Graph& g1, const Graph& wire,
+                                         const Journal& journal);
 
 }  // namespace protoobf

@@ -165,6 +165,21 @@ TEST(Determinism, IdentityWireGolden) {
   EXPECT_EQ(to_hex(wire), "00080203100010011002");
 }
 
+// The obfuscated wire image pins the per-entry random streams and the
+// order the compiled journal draws them in: any later change that moves a
+// random byte (split half, pad) has to update this golden deliberately.
+TEST(Determinism, ObfuscatedWireGolden) {
+  ObfuscationConfig cfg;
+  cfg.seed = 2018;
+  cfg.per_node = 2;
+  auto g = Framework::load_spec(kFig3Spec).value();
+  auto protocol = Framework::generate(g, cfg).value();
+  Message msg = fig3_message(protocol.original());
+  const Bytes wire = protocol.serialize(msg.root(), 9).value();
+  EXPECT_EQ(to_hex(wire),
+            "05f15629769967d8c0997668ce28bcc8817eb9d7bad7bbd73c49cea576");
+}
+
 // Wire bytes for the obfuscated protocol differ across msg_seeds when any
 // randomized transformation is present — determinism must not collapse the
 // per-message randomness.

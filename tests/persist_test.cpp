@@ -2,6 +2,10 @@
 // between a generating peer and a loading peer.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "protocols/http.hpp"
 #include "protocols/modbus.hpp"
 #include "runtime/persist.hpp"
@@ -95,6 +99,67 @@ TEST(Persist, RejectsTamperedGraph) {
   const auto result = load_artifact(artifact);
   // Either a parse error or a validation error, never a usable protocol.
   EXPECT_FALSE(result.ok());
+}
+
+/// The artifact of a small obfuscated protocol.
+std::string small_artifact() {
+  auto g = Framework::load_spec(modbus::request_spec()).value();
+  ObfuscationConfig cfg;
+  cfg.per_node = 1;
+  cfg.seed = 8;
+  return save_artifact(Framework::generate(g, cfg).value());
+}
+
+/// small_artifact() with field `index` of its first journal entry line
+/// replaced by `value` (field 0 is "entry").
+std::string with_first_entry_field(std::size_t index, const std::string& value) {
+  std::string artifact = small_artifact();
+  const std::size_t begin = artifact.find("\nentry ") + 1;
+  const std::size_t end = artifact.find('\n', begin);
+  std::istringstream in(artifact.substr(begin, end - begin));
+  std::vector<std::string> fields;
+  for (std::string field; in >> field;) fields.push_back(field);
+  fields.at(index) = value;
+  std::string line = fields[0];
+  for (std::size_t i = 1; i < fields.size(); ++i) line += " " + fields[i];
+  return artifact.replace(begin, end - begin, line);
+}
+
+// The journal is checked when it is compiled, so a tampered entry is an
+// error from load_artifact instead of out-of-range indexing later.
+TEST(Persist, RejectsUnknownTransformKind) {
+  EXPECT_FALSE(load_artifact(with_first_entry_field(1, "99")).ok());
+}
+
+TEST(Persist, RejectsEntryTargetOutsideTheWireGraph) {
+  EXPECT_FALSE(load_artifact(with_first_entry_field(2, "100000")).ok());
+}
+
+TEST(Persist, RejectsCreatedIdOutsideTheWireGraph) {
+  EXPECT_FALSE(load_artifact(with_first_entry_field(5, "100000")).ok());
+}
+
+TEST(Persist, RejectsNonNumericJournalField) {
+  const auto result = load_artifact(with_first_entry_field(11, "x1"));
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.error().message.find("malformed"), std::string::npos);
+}
+
+// Node 0 belongs to the original graph: no entry may claim to create it.
+TEST(Persist, RejectsCreatedIdClaimedTwice) {
+  EXPECT_FALSE(load_artifact(with_first_entry_field(5, "0")).ok());
+}
+
+// Graph validation walks the graph from its root by id, so an id outside
+// the arena must be rejected before that walk.
+TEST(Persist, RejectsGraphRootOutsideTheArena) {
+  std::string artifact = small_artifact();
+  const std::size_t header = artifact.find("graph original ");
+  ASSERT_NE(header, std::string::npos);
+  const std::size_t end = artifact.find('\n', header);
+  const std::size_t root = artifact.rfind(' ', end) + 1;  // last field
+  artifact.replace(root, end - root, "100000");
+  EXPECT_FALSE(load_artifact(artifact).ok());
 }
 
 }  // namespace

@@ -316,8 +316,7 @@ m: seq end {
 
   InstPtr reference = ast::clone(*message);
   Journal journal{*entry};
-  Rng msg_rng(1234);
-  ASSERT_TRUE(forward_all(message, journal, msg_rng).ok());
+  ASSERT_TRUE(forward_all(message, journal, /*msg_seed=*/1234).ok());
   // Structural transformations must actually change the tree (value-only
   // ones change values; ReadFromEnd changes nothing until emission).
   if (GetParam() != TransformKind::ReadFromEnd) {
@@ -362,14 +361,15 @@ m: seq end {
   EXPECT_EQ(info.chain, (std::vector<std::size_t>{0, 1, 2}));
   EXPECT_NE(table.find_by_top(info.top), nullptr);
 
-  // Replaying the chain over a fresh value rebuilds the wire subtree and
-  // inverts back to that value.
+  // Replaying the chain over a fresh value rebuilds the wire subtree, and
+  // inverting the same chain recovers that value.
   Rng replay(9);
   auto rebuilt = rerun_chain(len, Bytes{0x00, 0x20}, journal, info.chain,
                              replay);
   ASSERT_TRUE(rebuilt.ok());
-  auto logical = invert_clone(**rebuilt, journal);
+  auto logical = invert_chain(**rebuilt, journal, info.chain);
   ASSERT_TRUE(logical.ok());
+  EXPECT_EQ((*logical)->schema, len);
   EXPECT_EQ((*logical)->value, (Bytes{0x00, 0x20}));
 }
 
