@@ -13,11 +13,11 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <new>
 
 #include "ast/ast.hpp"
 #include "harness.hpp"
-#include "session/protocol_cache.hpp"
 #include "session/session.hpp"
 
 // --- operator-new hook ------------------------------------------------------
@@ -101,14 +101,15 @@ int main(int argc, char** argv) {
   config.seed = 2018;
   config.per_node = per_node;
 
-  ProtocolCache cache;
-  auto entry = cache.get_or_compile(g, ProtocolCache::hash_graph(g), config);
-  if (!entry) {
+  auto compiled = Framework::generate(g, config);
+  if (!compiled) {
     std::fprintf(stderr, "obfuscation failed: %s\n",
-                 entry.error().message.c_str());
+                 compiled.error().message.c_str());
     return 1;
   }
-  const ObfuscatedProtocol& protocol = **entry;
+  auto entry =
+      std::make_shared<const ObfuscatedProtocol>(std::move(*compiled));
+  const ObfuscatedProtocol& protocol = *entry;
 
   Rng rng(7);
   std::vector<Message> msgs;
@@ -117,9 +118,8 @@ int main(int argc, char** argv) {
     msgs.push_back(workload.make(0, g, rng));
   }
 
-  // Session without a worker pool: the single-shard path is the hot loop a
-  // connection handler runs, and keeps the numbers deterministic.
-  Session session(*entry);
+  // One session: the hot loop a connection handler runs.
+  Session session(entry);
 
   std::vector<Bytes> wires;
   wires.reserve(messages);

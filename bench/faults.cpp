@@ -33,7 +33,6 @@
 #include "net/reconnect.hpp"
 #include "net/server.hpp"
 #include "obs/metrics.hpp"
-#include "session/protocol_cache.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -235,21 +234,22 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  ProtocolCache cache;
   ObfuscationConfig ocfg;
   ocfg.seed = 7;
   ocfg.per_node = 2;
-  auto protocol = cache.get_or_compile(kSpec, ocfg);
-  if (!protocol) {
+  auto g = Framework::load_spec(kSpec).value();
+  auto compiled = Framework::generate(g, ocfg);
+  if (!compiled) {
     std::fprintf(stderr, "obfuscation failed: %s\n",
-                 protocol.error().message.c_str());
+                 compiled.error().message.c_str());
     return 1;
   }
-  auto g = Framework::load_spec(kSpec).value();
+  auto protocol =
+      std::make_shared<const ObfuscatedProtocol>(std::move(*compiled));
 
   // Clean baseline first, then the same drill under the fault schedule.
   const DrillResult clean =
-      run_drill(*protocol, g, conns, msgs, nullptr, nullptr, seed);
+      run_drill(protocol, g, conns, msgs, nullptr, nullptr, seed);
 
   net::FaultPlan plan;
   plan.seed = seed;
@@ -263,7 +263,7 @@ int main(int argc, char** argv) {
   net::FaultPlan client_plan = plan;
   client_plan.seed = seed ^ 0x9e3779b97f4a7c15ull;
   net::FaultInjector client_faults(client_plan);
-  const DrillResult faulty = run_drill(*protocol, g, conns, msgs,
+  const DrillResult faulty = run_drill(protocol, g, conns, msgs,
                                        &server_faults, &client_faults, seed);
 
   const double ratio = clean.msgs_per_sec > 0

@@ -32,7 +32,6 @@
 #include "net/server.hpp"
 #include "net/socket.hpp"
 #include "obs/metrics.hpp"
-#include "session/protocol_cache.hpp"
 #include "stream/channel.hpp"
 
 namespace {
@@ -71,14 +70,14 @@ int main(int argc, char** argv) {
   ObfuscationConfig config;
   config.seed = 2018;
   config.per_node = per_node;
-  ProtocolCache cache;
-  auto entry = cache.get_or_compile(g, ProtocolCache::hash_graph(g), config);
-  if (!entry) {
+  auto compiled = Framework::generate(g, config);
+  if (!compiled) {
     std::fprintf(stderr, "obfuscation failed: %s\n",
-                 entry.error().message.c_str());
+                 compiled.error().message.c_str());
     return 1;
   }
-  std::shared_ptr<const ObfuscatedProtocol> protocol = *entry;
+  auto protocol =
+      std::make_shared<const ObfuscatedProtocol>(std::move(*compiled));
 
   Rng rng(7);
   std::vector<Message> msgs;

@@ -1,19 +1,16 @@
-// Session throughput baseline: single-message vs. arena vs. batched paths.
+// Session throughput baseline: single-message vs. arena paths.
 //
-// The ROADMAP's north star is traffic scale, and the session subsystem
-// (src/session) is the first step: protocol caching, arena-backed buffers,
-// and sharded batches. This bench pins the numbers future PRs optimize
-// against. Six measurements over the same message set:
+// The session subsystem (src/session) pairs one shared compiled protocol
+// with an arena of reusable buffers and nodes. This bench pins the numbers
+// future PRs optimize against. Four measurements over the same message
+// set:
 //
 //   serialize/single   ObfuscatedProtocol::serialize() per message — the
 //                      allocating baseline path
 //   serialize/arena    Session::serialize() — arena emit, one message at a
 //                      time
-//   serialize/batched  Session::serialize_batch() — arena emit + worker
-//                      shards
 //   parse/single       ObfuscatedProtocol::parse() per wire image
 //   parse/arena        Session::parse()
-//   parse/batched      Session::parse_batch()
 //
 // Usage: bench_throughput_session [messages] [repeats] [per_node] [json_path]
 // Defaults keep a full run under ~5 s on one core for the CI smoke test.
@@ -24,13 +21,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "harness.hpp"
 #include "obs/metrics.hpp"
-#include "session/protocol_cache.hpp"
 #include "session/session.hpp"
 
 namespace {
@@ -77,16 +74,15 @@ int main(int argc, char** argv) {
   config.seed = 2018;
   config.per_node = per_node;
 
-  // Compile through the cache so the bench also exercises the session
-  // entry point end to end.
-  ProtocolCache cache;
-  auto entry = cache.get_or_compile(g, ProtocolCache::hash_graph(g), config);
-  if (!entry) {
+  auto compiled = Framework::generate(g, config);
+  if (!compiled) {
     std::fprintf(stderr, "obfuscation failed: %s\n",
-                 entry.error().message.c_str());
+                 compiled.error().message.c_str());
     return 1;
   }
-  const ObfuscatedProtocol& protocol = **entry;
+  auto entry =
+      std::make_shared<const ObfuscatedProtocol>(std::move(*compiled));
+  const ObfuscatedProtocol& protocol = *entry;
 
   Rng rng(7);
   std::vector<Message> msgs;
@@ -95,16 +91,9 @@ int main(int argc, char** argv) {
     msgs.push_back(workload.make(0, g, rng));
   }
 
-  WorkerPool pool;
-  Session session(*entry, &pool);
+  Session session(entry);
 
-  std::vector<BatchItem> items;
-  items.reserve(messages);
-  for (std::size_t i = 0; i < messages; ++i) {
-    items.push_back({&msgs[i].root(), msg_seed_of(i)});
-  }
-
-  // Warm-up: touches every code path once, grows the arenas to steady
+  // Warm-up: touches every code path once, grows the arena to steady
   // state, and yields the wire set for the parse measurements.
   std::vector<Bytes> wires;
   wires.reserve(messages);
@@ -116,11 +105,9 @@ int main(int argc, char** argv) {
       return 1;
     }
     wires.push_back(std::move(*wire));
+    (void)session.serialize(msgs[i].root(), msg_seed_of(i));
+    (void)session.parse(wires.back());
   }
-  (void)session.serialize_batch(items);
-
-  std::vector<BytesView> views(wires.begin(), wires.end());
-  (void)session.parse_batch(views);
 
   std::size_t checksum = 0;
 
@@ -130,21 +117,19 @@ int main(int argc, char** argv) {
   // perturbation evenly instead of biasing whichever path happened to run
   // during it.
   constexpr int kTrials = 5;
-  Rate ser_single, ser_arena, ser_batched;
-  Rate parse_single, parse_arena, parse_batched;
+  Rate ser_single, ser_arena;
+  Rate parse_single, parse_arena;
   struct Path {
     Rate* rate = nullptr;
     std::function<void()> body;
   };
-  std::array<Path, 6> paths;
+  std::array<Path, 4> paths;
 
-  // Single vs batched is apples-to-apples: the fixture is "N independent
-  // messages to process" and the batch call returns owned results, so the
-  // single-message baseline collects the same result vector one call at a
-  // time. The arena rows are the streaming variants (results consumed
-  // immediately), reported for reference. The table is fixed-size and
-  // filled by index: growing a vector of these entries trips a GCC 12
-  // false-positive -Warray-bounds.
+  // The single-message baseline collects owned results, one call at a
+  // time, as a caller that keeps every result would. The arena rows are
+  // the streaming variants (results consumed immediately). The table is
+  // fixed-size and filled by index: growing a vector of these entries
+  // trips a GCC 12 false-positive -Warray-bounds.
   paths[0] = {&ser_single, [&] {
     std::vector<Expected<Bytes>> results;
     results.reserve(messages);
@@ -161,12 +146,7 @@ int main(int argc, char** argv) {
     }
   }};
 
-  paths[2] = {&ser_batched, [&] {
-    auto results = session.serialize_batch(items);
-    for (const auto& result : results) checksum += result ? result->size() : 0;
-  }};
-
-  paths[3] = {&parse_single, [&] {
+  paths[2] = {&parse_single, [&] {
     std::vector<Expected<InstPtr>> results;
     results.reserve(messages);
     for (const Bytes& wire : wires) {
@@ -177,17 +157,10 @@ int main(int argc, char** argv) {
     }
   }};
 
-  paths[4] = {&parse_arena, [&] {
+  paths[3] = {&parse_arena, [&] {
     for (const Bytes& wire : wires) {
       auto tree = session.parse(wire);
       checksum += tree ? (*tree)->children.size() : 0;
-    }
-  }};
-
-  paths[5] = {&parse_batched, [&] {
-    auto results = session.parse_batch(views);
-    for (const auto& result : results) {
-      checksum += result ? (*result)->children.size() : 0;
     }
   }};
 
@@ -255,20 +228,12 @@ int main(int argc, char** argv) {
           ? parse_arena_on.msgs_per_sec / parse_arena_off.msgs_per_sec
           : 0;
 
-  std::printf("throughput_session — %s, per_node=%d, %zu msgs x %d repeats, "
-              "%zu-way batches\n",
-              workload.name.c_str(), per_node, messages, repeats,
-              session.batch_width());
+  std::printf("throughput_session — %s, per_node=%d, %zu msgs x %d repeats\n",
+              workload.name.c_str(), per_node, messages, repeats);
   print_rate("serialize/single", ser_single);
   print_rate("serialize/arena", ser_arena);
-  print_rate("serialize/batched", ser_batched);
   print_rate("parse/single", parse_single);
   print_rate("parse/arena", parse_arena);
-  print_rate("parse/batched", parse_batched);
-  std::printf("  serialize batched/single: %.3fx\n",
-              ser_batched.msgs_per_sec / ser_single.msgs_per_sec);
-  std::printf("  parse     batched/single: %.3fx\n",
-              parse_batched.msgs_per_sec / parse_single.msgs_per_sec);
   // The pooled single-session paths must at least match the allocating
   // plain calls (CI guards these ratios).
   std::printf("  serialize arena/single:   %.3fx\n",
@@ -287,23 +252,19 @@ int main(int argc, char** argv) {
                  "  \"per_node\": %d,\n"
                  "  \"messages\": %zu,\n"
                  "  \"repeats\": %d,\n"
-                 "  \"batch_width\": %zu,\n"
                  "  \"serialize_single_msgs_per_sec\": %.0f,\n"
                  "  \"serialize_arena_msgs_per_sec\": %.0f,\n"
-                 "  \"serialize_batched_msgs_per_sec\": %.0f,\n"
                  "  \"parse_single_msgs_per_sec\": %.0f,\n"
                  "  \"parse_arena_msgs_per_sec\": %.0f,\n"
-                 "  \"parse_batched_msgs_per_sec\": %.0f,\n"
                  "  \"serialize_arena_metrics_off_msgs_per_sec\": %.0f,\n"
                  "  \"parse_arena_metrics_off_msgs_per_sec\": %.0f,\n"
                  "  \"serialize_metrics_on_off_ratio\": %.4f,\n"
                  "  \"parse_metrics_on_off_ratio\": %.4f\n"
                  "}\n",
                  workload.name.c_str(), per_node, messages, repeats,
-                 session.batch_width(), ser_single.msgs_per_sec,
-                 ser_arena.msgs_per_sec, ser_batched.msgs_per_sec,
+                 ser_single.msgs_per_sec, ser_arena.msgs_per_sec,
                  parse_single.msgs_per_sec, parse_arena.msgs_per_sec,
-                 parse_batched.msgs_per_sec, ser_arena_off.msgs_per_sec, parse_arena_off.msgs_per_sec,
+                 ser_arena_off.msgs_per_sec, parse_arena_off.msgs_per_sec,
                  ser_onoff, parse_onoff);
     std::fclose(f);
     std::printf("  wrote %s\n", json_path);

@@ -1,17 +1,17 @@
 // Streaming throughput: Channel (framed byte stream) vs raw Session.
 //
 // The Channel is the intended server entry point for TCP traffic, so its
-// overhead over the raw batch paths is the number to watch: framing on
-// send, reassembly + frame decode + batched parse on receive. Measured
-// across chunk sizes because delivery granularity decides how often the
-// reader re-attempts a decode:
+// overhead over the raw session paths is the number to watch: framing on
+// send, reassembly + frame decode + parse on receive. Measured across
+// chunk sizes because delivery granularity decides how often the reader
+// re-attempts a decode:
 //
 //   serialize/session    Session::serialize() per message (arena path)
 //   serialize/channel    Channel::send() — serialize + frame, arena-backed
-//   parse/session        Session::parse_batch() on pre-split wire images —
-//                        the baseline with boundaries known a priori
+//   parse/session        Session::parse() per pre-split wire image — the
+//                        baseline with boundaries known a priori
 //   parse/channel@N      feed the concatenated framed stream in N-byte
-//                        chunks, Channel::drain_batch() per chunk
+//                        chunks, Channel::receive() until empty per chunk
 //
 // Plus the adversarial scenario ISSUE 5 closes: a *delimiter-bounded*
 // frame spec (no length field anywhere) delivered one byte at a time.
@@ -28,10 +28,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <vector>
 
 #include "harness.hpp"
-#include "session/protocol_cache.hpp"
 #include "stream/channel.hpp"
 
 namespace {
@@ -68,20 +68,21 @@ frame: seq end {
   fbody: terminal delimited("\r\n") ascii
 }
 )";
-  ProtocolCache cache;
   ObfuscationConfig identity;
   identity.seed = 1;
   identity.per_node = 0;
-  auto framing = cache.get_or_compile(kDelimFrameSpec, identity);
-  if (!framing) {
+  auto compiled = Framework::generate(
+      Framework::load_spec(kDelimFrameSpec).value(), identity);
+  if (!compiled) {
     std::fprintf(stderr, "delim frame compile failed: %s\n",
-                 framing.error().message.c_str());
+                 compiled.error().message.c_str());
     std::exit(1);
   }
   ObfuscatedFramer::Config cfg;
   cfg.payload_path = "fbody";
   cfg.resumable_decode = resumable;
-  auto framer = ObfuscatedFramer::create(*framing, cfg);
+  auto framer = ObfuscatedFramer::create(
+      std::make_shared<const ObfuscatedProtocol>(std::move(*compiled)), cfg);
   if (!framer) {
     std::fprintf(stderr, "framer create failed: %s\n",
                  framer.error().message.c_str());
@@ -151,14 +152,15 @@ int main(int argc, char** argv) {
   ObfuscationConfig config;
   config.seed = 2018;
   config.per_node = per_node;
-  ProtocolCache cache;
-  auto entry = cache.get_or_compile(g, ProtocolCache::hash_graph(g), config);
-  if (!entry) {
+  auto compiled = Framework::generate(g, config);
+  if (!compiled) {
     std::fprintf(stderr, "obfuscation failed: %s\n",
-                 entry.error().message.c_str());
+                 compiled.error().message.c_str());
     return 1;
   }
-  const ObfuscatedProtocol& protocol = **entry;
+  auto entry =
+      std::make_shared<const ObfuscatedProtocol>(std::move(*compiled));
+  const ObfuscatedProtocol& protocol = *entry;
 
   Rng rng(7);
   std::vector<Message> msgs;
@@ -167,9 +169,8 @@ int main(int argc, char** argv) {
     msgs.push_back(workload.make(0, g, rng));
   }
 
-  WorkerPool pool;
-  Session sender(*entry, &pool);
-  Session receiver(*entry, &pool);
+  Session sender(entry);
+  Session receiver(entry);
   LengthPrefixFramer send_framer;
   LengthPrefixFramer recv_framer;
   Channel out(sender, send_framer);
@@ -195,7 +196,6 @@ int main(int argc, char** argv) {
     append(stream, *framed);
     wires.push_back(std::move(*wire));
   }
-  std::vector<BytesView> views(wires.begin(), wires.end());
 
   const std::size_t chunk_sizes[] = {64, 1024, stream.size()};
   std::size_t checksum = 0;
@@ -209,9 +209,8 @@ int main(int argc, char** argv) {
       const std::size_t n = std::min(chunk, stream.size() - offset);
       in.on_bytes(BytesView(stream).subspan(offset, n));
       offset += n;
-      auto batch = in.drain_batch();
-      for (const auto& tree : batch) {
-        checksum += tree ? (*tree)->children.size() : 0;
+      while (auto tree = in.receive()) {
+        checksum += *tree ? (**tree)->children.size() : 0;
         ++got;
       }
     }
@@ -262,8 +261,8 @@ int main(int argc, char** argv) {
     {
       const auto start = std::chrono::steady_clock::now();
       for (int r = 0; r < repeats; ++r) {
-        auto batch = receiver.parse_batch(views);
-        for (const auto& tree : batch) {
+        for (const Bytes& wire : wires) {
+          auto tree = receiver.parse(wire);
           checksum += tree ? (*tree)->children.size() : 0;
         }
       }
@@ -286,9 +285,9 @@ int main(int argc, char** argv) {
   }
 
   std::printf("throughput_stream — %s, per_node=%d, %zu msgs x %d repeats, "
-              "stream %zu bytes, %zu-way batches\n",
+              "stream %zu bytes\n",
               workload.name.c_str(), per_node, messages, repeats,
-              stream.size(), receiver.batch_width());
+              stream.size());
   const auto print_row = [](const Row& row) {
     std::printf("  %-20s %12.0f msgs/s\n", row.label, row.msgs_per_sec);
   };

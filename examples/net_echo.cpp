@@ -13,12 +13,12 @@
 // test, so the demo doubles as an end-to-end check.
 #include <atomic>
 #include <iostream>
+#include <memory>
 #include <thread>
 
 #include "net/connector.hpp"
 #include "net/server.hpp"
 #include "protocols/modbus.hpp"
-#include "session/protocol_cache.hpp"
 
 namespace {
 
@@ -33,13 +33,13 @@ int main() {
   ObfuscationConfig config;
   config.seed = 2018;
   config.per_node = 2;
-  ProtocolCache cache;
-  auto entry = cache.get_or_compile(modbus::request_spec(), config);
-  if (!entry.ok()) {
-    std::cerr << "obfuscation failed: " << entry.error().message << "\n";
+  auto compiled = Framework::generate(modbus_graph, config);
+  if (!compiled.ok()) {
+    std::cerr << "obfuscation failed: " << compiled.error().message << "\n";
     return 1;
   }
-  std::shared_ptr<const ObfuscatedProtocol> protocol = *entry;
+  auto protocol =
+      std::make_shared<const ObfuscatedProtocol>(std::move(*compiled));
   std::cout << "obfuscated Modbus: " << protocol->journal().size()
             << " transformations applied\n";
 

@@ -12,9 +12,9 @@
 //      ObfuscatedProtocol, so even the message boundary is opaque to an
 //      observer (the framing layer is part of the obfuscation surface).
 #include <iostream>
+#include <memory>
 
 #include "protocols/modbus.hpp"
-#include "session/protocol_cache.hpp"
 #include "stream/channel.hpp"
 
 namespace {
@@ -81,23 +81,24 @@ int exchange(const Graph& modbus_graph, Channel& client, Channel& server,
 
 int main() {
   // Inner protocol: obfuscated Modbus requests, shared by both exchanges.
-  ProtocolCache cache;
   ObfuscationConfig obf;
   obf.per_node = 2;
   obf.seed = 2024;
-  auto inner = cache.get_or_compile(modbus::request_spec(), obf);
-  if (!inner.ok()) {
-    std::cerr << "obfuscation failed: " << inner.error().message << "\n";
+  auto modbus_graph = Framework::load_spec(modbus::request_spec()).value();
+  auto compiled = Framework::generate(modbus_graph, obf);
+  if (!compiled.ok()) {
+    std::cerr << "obfuscation failed: " << compiled.error().message << "\n";
     return 1;
   }
-  auto modbus_graph = Framework::load_spec(modbus::request_spec()).value();
+  auto inner =
+      std::make_shared<const ObfuscatedProtocol>(std::move(*compiled));
 
   // --- exchange 1: transparent length-prefix framing ----------------------
   std::cout << "[length-prefix framing]\n";
   LengthPrefixFramer client_framer;
   LengthPrefixFramer server_framer;
-  Session client_session(*inner);
-  Session server_session(*inner);
+  Session client_session(inner);
+  Session server_session(inner);
   Channel client(client_session, client_framer);
   Channel server(server_session, server_framer);
   const int plain = exchange(modbus_graph, client, server, 7);
@@ -113,24 +114,27 @@ int main() {
   std::cout << "[obfuscated framing]\n";
   std::unique_ptr<ObfuscatedFramer> obf_client_framer;
   std::unique_ptr<ObfuscatedFramer> obf_server_framer;
+  const Graph frame_graph = Framework::load_spec(kFrameSpec).value();
   for (std::uint64_t seed = 11; seed < 11 + 32; ++seed) {
     ObfuscationConfig frame_obf;
     frame_obf.per_node = 2;
     frame_obf.seed = seed;
-    auto framing = cache.get_or_compile(kFrameSpec, frame_obf);
-    if (!framing.ok()) continue;
+    auto compiled = Framework::generate(frame_graph, frame_obf);
+    if (!compiled.ok()) continue;
+    auto framing =
+        std::make_shared<const ObfuscatedProtocol>(std::move(*compiled));
     ObfuscatedFramer::Config fc;
     fc.frame_seed = 99;
-    auto client_try = ObfuscatedFramer::create(*framing, fc);
+    auto client_try = ObfuscatedFramer::create(framing, fc);
     if (!client_try.ok()) {
       std::cout << "  seed " << seed << " rejected ("
                 << client_try.error().message << "), rotating\n";
       continue;
     }
     obf_client_framer = std::move(*client_try);
-    obf_server_framer = ObfuscatedFramer::create(*framing, fc).value();
+    obf_server_framer = ObfuscatedFramer::create(framing, fc).value();
     std::cout << "  frame spec compiled stream-safe with seed " << seed
-              << " (" << (*framing)->journal().size()
+              << " (" << framing->journal().size()
               << " transformations)\n";
     break;
   }
@@ -138,8 +142,8 @@ int main() {
     std::cerr << "no stream-safe frame compilation found\n";
     return 1;
   }
-  Session obf_client_session(*inner);
-  Session obf_server_session(*inner);
+  Session obf_client_session(inner);
+  Session obf_server_session(inner);
   Channel obf_client(obf_client_session, *obf_client_framer);
   Channel obf_server(obf_server_session, *obf_server_framer);
   const int opaque = exchange(modbus_graph, obf_client, obf_server, 13);

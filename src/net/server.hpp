@@ -1,10 +1,10 @@
 // Obfuscated TCP server: N event-loop shards owning N sets of Channels.
 //
 // The Server is the end of the road the repo has been building toward: the
-// compiled protocol is shared (one ProtocolCache entry), but every accepted
-// connection gets its own Session (arenas, node pool) and its own Framer
-// from a pluggable factory — per-connection decode state, as the streaming
-// layer requires. Two sharding modes:
+// compiled protocol is shared (one immutable ObfuscatedProtocol), but every
+// accepted connection gets its own Session (arena, node pool) and its own
+// Framer from a pluggable factory — per-connection decode state, as the
+// streaming layer requires. Two sharding modes:
 //
 //   * reuse_port (default) — every shard binds its own SO_REUSEPORT listen
 //     socket on the same endpoint and the kernel spreads accepts across

@@ -104,12 +104,6 @@ SessionMetrics& SessionMetrics::get() {
                     "Parse latency, nanoseconds (sampled 1/64)."),
         r.gauge("protoobf_session_arena_retained_bytes",
                 "High-water mark of session arena wire capacity."),
-        r.counter("protoobf_session_protocol_cache_hits_total",
-                  "ProtocolCache lookups served from cache."),
-        r.counter("protoobf_session_protocol_cache_misses_total",
-                  "ProtocolCache lookups that built a protocol."),
-        r.counter("protoobf_session_protocol_cache_evictions_total",
-                  "ProtocolCache LRU evictions."),
     };
   }();
   return *m;

@@ -56,9 +56,6 @@ struct SessionMetrics {
   Histogram& serialize_ns;      // sampled (1 in kSampleEvery)
   Histogram& parse_ns;          // sampled
   Gauge& arena_retained_bytes;  // high-water of arena wire capacity
-  Counter& cache_hits;          // ProtocolCache
-  Counter& cache_misses;
-  Counter& cache_evictions;
 
   static constexpr std::uint32_t kSampleEvery = 64;  // latency sampling period
   enum class Op : std::uint8_t { Serialize, Parse };

@@ -7,15 +7,14 @@
 // node; at traffic scale those per-message heap round-trips dominate the
 // runtime cost of small messages. The arena keeps one wire buffer, one
 // frame buffer, one scratch pool, one scope table and one AST node pool
-// per session (or per batch worker) so the steady state reuses capacity
-// established by the first few messages — including whole parse trees and
-// serialize workspaces, which recycle through the node pool.
+// per session so the steady state reuses capacity established by the first
+// few messages — including whole parse trees and serialize workspaces,
+// which recycle through the node pool. Each buffer's own capacity is its
+// high-water mark: emission clears a buffer without releasing it.
 //
-// Not thread-safe: one arena per thread. Session keeps one arena per batch
-// shard for exactly this reason.
+// Not thread-safe: one arena per session, one session per thread of
+// control.
 #pragma once
-
-#include <atomic>
 
 #include "ast/pool.hpp"
 #include "runtime/derive.hpp"
@@ -23,36 +22,6 @@
 #include "util/bytes.hpp"
 
 namespace protoobf {
-
-/// Cross-arena EWMA of recently emitted sizes. One buffer's own capacity
-/// already remembers its personal high-water mark, so a *per-arena* hint
-/// would never reserve anything new; the value of the hint is sharing it
-/// across a session's arenas — the single-message path, every batch
-/// shard, and the channel frame path — so a cold arena's first message
-/// reserves the size its siblings established instead of doubling its way
-/// up. Atomic because batch shards note sizes from worker threads; races
-/// just make the hint slightly stale, which is harmless.
-class SizeHint {
- public:
-  /// Records an emitted size: rises to a larger size instantly, decays a
-  /// quarter of the gap toward a smaller one — a burst of large messages
-  /// is covered immediately, one small message barely moves the hint.
-  void note(std::size_t size) {
-    const std::size_t prev = hint_.load(std::memory_order_relaxed);
-    const std::size_t next = size >= prev ? size : prev - (prev - size) / 4;
-    hint_.store(next, std::memory_order_relaxed);
-  }
-
-  std::size_t get() const { return hint_.load(std::memory_order_relaxed); }
-
-  /// Pre-sizes `buffer` for the next emission (no-op with no history).
-  void reserve(Bytes& buffer) const { buffer.reserve(get()); }
-
-  void reset() { hint_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::size_t> hint_{0};
-};
 
 class SessionArena {
  public:

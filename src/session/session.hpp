@@ -1,50 +1,38 @@
 // Obfuscation session: the per-connection runtime object.
 //
-// A Session binds one compiled protocol version (shared, cache-managed) to
-// per-session serialization state: an arena for the single-message fast
-// path and one arena per batch shard. It is the intended entry point for
-// servers — ProtocolCache amortizes compilation across sessions and version
-// rotations, the arena amortizes buffer allocation across messages, and the
-// batch APIs shard independent messages over a WorkerPool.
+// A Session binds one compiled protocol (immutable, shared by every session
+// that speaks it) to one SessionArena of per-session serialization state.
+// It is the intended entry point for servers: the arena amortizes buffer
+// and node allocation across the messages of one connection, and a server
+// gets its parallelism by sharding connections, each with its own session.
 //
 // Semantics contract (tests/session_test.cpp): every path produces results
 // byte-identical to the plain ObfuscatedProtocol::serialize()/parse() calls
 // with the same arguments, including error behaviour. The session only
-// changes where the bytes live and which thread computes them.
+// changes where the bytes live.
 //
-// Threading: one Session per thread of control. The shared pieces — the
-// cached protocol and the worker pool — are safe to share across sessions.
+// Threading: one Session per thread of control. The shared protocol is safe
+// to share across sessions.
 #pragma once
 
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "runtime/protocol.hpp"
 #include "session/arena.hpp"
-#include "session/protocol_cache.hpp"
-#include "session/worker_pool.hpp"
 
 namespace protoobf {
 
-/// One message of a serialization batch. `message` must outlive the call.
-struct BatchItem {
-  const Inst* message = nullptr;
-  std::uint64_t msg_seed = 0;
-};
-
 class Session {
  public:
-  /// `pool` may be null (batches run inline) and is borrowed, not owned; it
-  /// must outlive the session.
-  explicit Session(std::shared_ptr<const ObfuscatedProtocol> protocol,
-                   WorkerPool* pool = nullptr);
+  explicit Session(std::shared_ptr<const ObfuscatedProtocol> protocol)
+      : protocol_(std::move(protocol)) {}
 
   const ObfuscatedProtocol& protocol() const { return *protocol_; }
 
   /// Serializes through the session arena. The returned view aliases the
-  /// arena and is valid until the next serialize()/serialize_batch() on
-  /// this session; callers that need to keep the bytes copy them.
+  /// arena and is valid until the next serialize() on this session;
+  /// callers that need to keep the bytes copy them.
   Expected<BytesView> serialize(const Inst& message, std::uint64_t msg_seed,
                                 std::vector<FieldSpan>* spans = nullptr);
 
@@ -56,47 +44,17 @@ class Session {
   /// into the arena's pool, the tree must not outlive the session and
   /// must be destroyed on the session's thread of control — handing a
   /// tree to another thread requires dropping it back here (or copying
-  /// it). Same rules for parse_batch results.
+  /// it).
   Expected<InstPtr> parse(BytesView wire);
 
-  /// Serializes every item; result i corresponds to item i and equals what
-  /// protocol().serialize(*items[i].message, items[i].msg_seed) returns.
-  /// Items are independent, so shards run concurrently on the pool.
-  std::vector<Expected<Bytes>> serialize_batch(
-      std::span<const BatchItem> items);
-
-  /// Parses every wire image; result i equals protocol().parse(wires[i]).
-  std::vector<Expected<InstPtr>> parse_batch(std::span<const BytesView> wires);
-
-  /// Arena of batch shard `i` (i < batch_width()), exposed for tests and
-  /// memory accounting.
-  const SessionArena& shard_arena(std::size_t i) const { return shards_[i]; }
-  std::size_t batch_width() const { return shards_.size(); }
-
-  /// The single-message-path arena. Channel routes its frame buffer through
-  /// it so streaming reuses the session's capacity; same threading rule as
-  /// the session itself (one thread of control).
+  /// The session arena. Channel routes its frame buffer through it so
+  /// streaming reuses the session's capacity; same threading rule as the
+  /// session itself (one thread of control).
   SessionArena& arena() { return arena_; }
 
-  /// The worker pool batches shard over, or null when batches run inline.
-  WorkerPool* pool() const { return pool_; }
-
-  /// Shared emitted-size hints: every serialize path notes its result and
-  /// pre-reserves from it, so a cold batch shard (or the channel frame
-  /// buffer) starts at the capacity its siblings established instead of
-  /// growing through doublings. Channel::send uses frame_hint().
-  SizeHint& wire_hint() { return wire_hint_; }
-  SizeHint& frame_hint() { return frame_hint_; }
-
  private:
-  Expected<Bytes> serialize_one(SessionArena& arena, const BatchItem& item);
-
   std::shared_ptr<const ObfuscatedProtocol> protocol_;
-  WorkerPool* pool_;
-  SessionArena arena_;                // single-message fast path
-  std::vector<SessionArena> shards_;  // one per batch shard
-  SizeHint wire_hint_;                // shared across all arenas above
-  SizeHint frame_hint_;               // for the channel framing layer
+  SessionArena arena_;
 };
 
 }  // namespace protoobf

@@ -1,8 +1,8 @@
 // Channel: the duplex streaming endpoint of the framework.
 //
-// A Channel binds a Session (compiled protocol + arenas + worker pool) to a
-// Framer (boundary codec) and exposes the two operations a TCP server
-// actually performs: send one logical message as framed bytes, and turn an
+// A Channel binds a Session (compiled protocol + arena) to a Framer
+// (boundary codec) and exposes the two operations a TCP server actually
+// performs: send one logical message as framed bytes, and turn an
 // arbitrary received chunk into zero or more parsed messages. It is the
 // streaming counterpart of Session — same "byte-identical to the plain
 // protocol calls" contract, message boundaries handled for you.
@@ -11,18 +11,17 @@
 //   write(fd, ch.send(msg.root(), seed).value());   // framed, arena-backed
 //   ...
 //   ch.on_bytes(chunk);                             // any chunking
-//   while (auto m = ch.receive()) consume(**m);     // or ch.drain_batch()
+//   while (auto m = ch.receive()) consume(**m);
 //
 // Buffer lifetime rules (also in README "Streaming over TCP"): the view
 // send() returns aliases the session arena's frame buffer and is valid
 // until the next send() on any channel sharing that session; trees from
-// receive()/drain_batch() are owned by the caller but recycle into the
-// session's node pool when dropped — drop them on the session's thread,
-// before the session goes away.
+// receive() are owned by the caller but recycle into the session's node
+// pool when dropped — drop them on the session's thread, before the
+// session goes away.
 #pragma once
 
 #include <optional>
-#include <vector>
 
 #include "session/session.hpp"
 #include "stream/framer.hpp"
@@ -52,12 +51,6 @@ class Channel {
   /// per-message parse failure; the stream itself continues past it.
   std::optional<Expected<InstPtr>> receive();
 
-  /// Drains every complete buffered frame and parses them as one batch
-  /// through the session's worker pool (Session::parse_batch) — the
-  /// high-throughput path when chunks carry many messages. Result i is the
-  /// i-th frame in stream order.
-  std::vector<Expected<InstPtr>> drain_batch();
-
   /// Minimum bytes on_bytes() must deliver before receive() can progress.
   std::size_t need_bytes() const { return reader_.need_bytes(); }
 
@@ -83,7 +76,6 @@ class Channel {
   Session& session_;
   Framer& framer_;
   StreamReader reader_;
-  std::vector<Bytes> stash_;  // drain_batch copies for scratch-backed framers
 };
 
 }  // namespace protoobf

@@ -8,6 +8,8 @@
 // silently reintroduce per-message heap churn or divergence.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #if defined(__SANITIZE_ADDRESS__)
 #define PROTOOBF_TEST_LSAN 1
 #elif defined(__has_feature)
@@ -24,7 +26,6 @@
 #include "protocols/http.hpp"
 #include "protocols/modbus.hpp"
 #include "runtime/emit.hpp"
-#include "session/protocol_cache.hpp"
 #include "session/session.hpp"
 
 namespace protoobf {
@@ -112,11 +113,12 @@ class AllocSteadyState : public ::testing::TestWithParam<bool> {};
 
 TEST_P(AllocSteadyState, WarmSessionHasZeroPoolMisses) {
   const bool http = GetParam();
-  ProtocolCache cache;
-  auto entry = cache.get_or_compile(
-      http ? http::request_spec() : modbus::request_spec(), config_of(11, 2));
-  ASSERT_TRUE(entry.ok()) << entry.error().message;
-  const ObfuscatedProtocol& protocol = **entry;
+  const Graph g1 =
+      Framework::load_spec(http ? http::request_spec() : modbus::request_spec())
+          .value();
+  auto entry = std::make_shared<const ObfuscatedProtocol>(
+      Framework::generate(g1, config_of(11, 2)).value());
+  const ObfuscatedProtocol& protocol = *entry;
 
   Rng rng(42);
   const Graph& g = protocol.original();
@@ -130,7 +132,7 @@ TEST_P(AllocSteadyState, WarmSessionHasZeroPoolMisses) {
     wires.push_back(std::move(*wire));
   }
 
-  Session session(*entry);
+  Session session(entry);
 
   // Warm-up: grow the pool and every recycled buffer to steady state.
   for (int round = 0; round < 2; ++round) {
@@ -160,15 +162,16 @@ TEST_P(AllocSteadyState, WarmSessionHasZeroPoolMisses) {
 
 TEST_P(AllocSteadyState, PooledPathsStayByteIdentical) {
   const bool http = GetParam();
-  ProtocolCache cache;
-  auto entry = cache.get_or_compile(
-      http ? http::request_spec() : modbus::request_spec(), config_of(23, 3));
-  ASSERT_TRUE(entry.ok()) << entry.error().message;
-  const ObfuscatedProtocol& protocol = **entry;
+  const Graph g1 =
+      Framework::load_spec(http ? http::request_spec() : modbus::request_spec())
+          .value();
+  auto entry = std::make_shared<const ObfuscatedProtocol>(
+      Framework::generate(g1, config_of(23, 3)).value());
+  const ObfuscatedProtocol& protocol = *entry;
 
   Rng rng(7);
   const Graph& g = protocol.original();
-  Session session(*entry);
+  Session session(entry);
 
   for (std::size_t i = 0; i < 24; ++i) {
     Message msg = http ? http::random_request(g, rng)
@@ -280,51 +283,6 @@ msg: seq end {
   ASSERT_FALSE(size.ok());
   ASSERT_FALSE(bytes.ok());
   EXPECT_EQ(size.error().message, bytes.error().message);
-}
-
-// --- shared emitted-size hints ----------------------------------------------
-
-TEST(SizeHint, RisesInstantlyDecaysSlowly) {
-  SizeHint hint;
-  EXPECT_EQ(hint.get(), 0u);
-  hint.note(4096);
-  EXPECT_EQ(hint.get(), 4096u);
-  hint.note(8192);  // larger: covered immediately
-  EXPECT_EQ(hint.get(), 8192u);
-  hint.note(0);  // smaller: only a quarter of the gap
-  EXPECT_EQ(hint.get(), 6144u);
-}
-
-TEST(SizeHint, SeedsColdArenasFromSiblingTraffic) {
-  constexpr std::string_view kVarSpec = R"spec(
-protocol Var
-
-msg: seq end {
-  len: terminal fixed(2)
-  data: terminal length(len)
-}
-)spec";
-  ProtocolCache cache;
-  auto entry = cache.get_or_compile(kVarSpec, config_of(3, 0));
-  ASSERT_TRUE(entry.ok()) << entry.error().message;
-
-  Session session(*entry);
-
-  // A large message through the single-message arena establishes the hint.
-  Message big((*entry)->original());
-  ASSERT_TRUE(big.set("data", Bytes(2000, 0x55)).ok());
-  ASSERT_TRUE(session.serialize(big.root(), 1).ok());
-  EXPECT_GE(session.wire_hint().get(), 2000u);
-
-  // A small message through the (cold, distinct) batch-shard arena must
-  // pre-reserve that capacity even though it only emits a few bytes.
-  Message small((*entry)->original());
-  ASSERT_TRUE(small.set("data", to_bytes("hi")).ok());
-  const BatchItem item{&small.root(), 2};
-  auto results = session.serialize_batch(std::span<const BatchItem>(&item, 1));
-  ASSERT_EQ(results.size(), 1u);
-  ASSERT_TRUE(results[0].ok()) << results[0].error().message;
-  EXPECT_GE(session.shard_arena(0).wire().capacity(), 2000u);
 }
 
 }  // namespace

@@ -12,7 +12,6 @@
 #include "protocols/http.hpp"
 #include "protocols/modbus.hpp"
 #include "runtime/persist.hpp"
-#include "session/protocol_cache.hpp"
 
 namespace protoobf {
 namespace {
@@ -116,24 +115,6 @@ TEST_P(Determinism, RebuiltProtocolsMatchTheOriginal) {
     ASSERT_TRUE(tree2.ok()) << tree2.error().message;
     EXPECT_TRUE(ast::equal(**tree, **tree2));
   }
-}
-
-// The cache returns protocols indistinguishable from direct compilation.
-TEST_P(Determinism, CachedCompilationMatchesDirect) {
-  const Case c = GetParam();
-  ObfuscationConfig cfg;
-  cfg.seed = c.seed;
-  cfg.per_node = c.per_node;
-  auto g = Framework::load_spec(kFig3Spec).value();
-  auto direct = Framework::generate(g, cfg).value();
-  ProtocolCache cache;
-  auto cached = cache.get_or_compile(kFig3Spec, cfg);
-  ASSERT_TRUE(cached.ok()) << cached.error().message;
-
-  Message msg = fig3_message(direct.original());
-  EXPECT_EQ(direct.serialize(msg.root(), 5).value(),
-            (*cached)->serialize(msg.root(), 5).value());
-  EXPECT_EQ(save_artifact(direct), save_artifact(**cached));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -27,7 +27,6 @@
 #include "net/connector.hpp"
 #include "runtime/parse.hpp"
 #include "net/server.hpp"
-#include "session/protocol_cache.hpp"
 #include "util/rng.hpp"
 
 namespace protoobf {
@@ -53,10 +52,10 @@ ObfuscationConfig config_of(std::uint64_t seed, int per_node) {
 
 std::shared_ptr<const ObfuscatedProtocol> compile(std::uint64_t seed,
                                                   int per_node) {
-  ProtocolCache cache;
-  auto entry = cache.get_or_compile(kSpec, config_of(seed, per_node));
-  EXPECT_TRUE(entry.ok()) << entry.error().message;
-  return *entry;
+  return std::make_shared<const ObfuscatedProtocol>(
+      Framework::generate(Framework::load_spec(kSpec).value(),
+                          config_of(seed, per_node))
+          .value());
 }
 
 /// A canonicalized random message (tag + body user data, blen derived).
@@ -595,14 +594,16 @@ frame: seq end {
   fbody: terminal length(flen)
 }
 )";
-  ProtocolCache cache;
+  const Graph frame_graph = Framework::load_spec(kFrameSpec).value();
   std::shared_ptr<const ObfuscatedProtocol> framing;
   for (std::uint64_t seed = 13; seed < 13 + 64; ++seed) {
-    auto entry = cache.get_or_compile(kFrameSpec, config_of(seed, 2));
-    if (!entry.ok()) continue;
-    if (!stream_safe((*entry)->wire_graph()).ok()) continue;
-    if (ObfuscatedFramer::create(*entry).ok()) {
-      framing = *entry;
+    auto compiled = Framework::generate(frame_graph, config_of(seed, 2));
+    if (!compiled.ok()) continue;
+    auto entry =
+        std::make_shared<const ObfuscatedProtocol>(std::move(*compiled));
+    if (!stream_safe(entry->wire_graph()).ok()) continue;
+    if (ObfuscatedFramer::create(entry).ok()) {
+      framing = entry;
       break;
     }
   }
@@ -690,9 +691,10 @@ frame: seq end {
   // containment at encode time holds for every message.
   auto protocol = compile(1, 0);
   auto g = Framework::load_spec(kSpec).value();
-  ProtocolCache cache;
-  auto framing = cache.get_or_compile(kDelimFrameSpec, config_of(1, 0));
-  ASSERT_TRUE(framing.ok()) << framing.error().message;
+  auto framing = std::make_shared<const ObfuscatedProtocol>(
+      Framework::generate(Framework::load_spec(kDelimFrameSpec).value(),
+                          config_of(1, 0))
+          .value());
   ObfuscatedFramer::Config framer_cfg;
   framer_cfg.payload_path = "fbody";
 
@@ -701,7 +703,7 @@ frame: seq end {
   std::atomic<std::uint64_t> closes{0};
   std::atomic<bool> saw_malformed{false};
   Server server(protocol,
-                obfuscated_framer_factory(*framing, framer_cfg), {});
+                obfuscated_framer_factory(framing, framer_cfg), {});
   server.on_accept([&](Connection& conn) {
     conn.on_message([&](Connection& c, Expected<InstPtr> msg) {
       if (!msg.ok()) return;
@@ -723,7 +725,7 @@ frame: seq end {
   ASSERT_TRUE(server.start().ok());
 
   Session session(protocol);
-  auto client_framer = ObfuscatedFramer::create(*framing, framer_cfg).value();
+  auto client_framer = ObfuscatedFramer::create(framing, framer_cfg).value();
   Channel channel(session, *client_framer);
   const int fd = blocking_client(server.port());
 

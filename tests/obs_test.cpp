@@ -17,7 +17,6 @@
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "session/worker_pool.hpp"
 #include "util/rng.hpp"
 
 namespace protoobf {
@@ -28,27 +27,30 @@ struct EnabledGuard {
   ~EnabledGuard() { obs::set_enabled(true); }
 };
 
-TEST(Obs, CounterConcurrentUnderWorkerPool) {
+TEST(Obs, CounterConcurrentUnderThreads) {
   obs::Counter counter;
-  WorkerPool pool;
+  constexpr std::size_t kThreads = 4;
   constexpr std::size_t kAdds = 1 << 20;
-  // Every shard thread hammers the same logical counter; the padded slots
-  // must make the total exact, not approximate.
-  pool.parallel_for(kAdds, [&counter](std::size_t, std::size_t begin,
-                                      std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) counter.add(1);
-  });
+  // Every thread hammers the same logical counter; the padded slots must
+  // make the total exact, not approximate.
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&counter] {
+      for (std::size_t i = 0; i < kAdds / kThreads; ++i) counter.add(1);
+    });
+  }
+  for (auto& th : threads) th.join();
   EXPECT_EQ(counter.value(), kAdds);
 
-  // Weighted adds from raw threads on top of the pool's total.
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
+  // Weighted adds from a second wave of threads on top of that total.
+  threads.clear();
+  for (std::size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&counter] {
       for (int i = 0; i < 10000; ++i) counter.add(3);
     });
   }
   for (auto& th : threads) th.join();
-  EXPECT_EQ(counter.value(), kAdds + 4u * 10000u * 3u);
+  EXPECT_EQ(counter.value(), kAdds + kThreads * 10000u * 3u);
 
   counter.reset();
   EXPECT_EQ(counter.value(), 0u);

@@ -40,7 +40,6 @@
 #include "pre/dpi.hpp"
 #include "pre/field_inference.hpp"
 #include "protocols/modbus.hpp"
-#include "session/protocol_cache.hpp"
 #include "util/rng.hpp"
 
 namespace protoobf {
@@ -226,10 +225,11 @@ std::shared_ptr<const ObfuscatedProtocol> compile_modbus(int per_node) {
   ObfuscationConfig cfg;
   cfg.seed = 90125;
   cfg.per_node = per_node;
-  ProtocolCache cache;
-  auto entry = cache.get_or_compile(modbus::request_spec(), cfg);
-  EXPECT_TRUE(entry.ok()) << entry.error().message;
-  return entry.ok() ? *entry : nullptr;
+  auto compiled = Framework::generate(
+      Framework::load_spec(modbus::request_spec()).value(), cfg);
+  EXPECT_TRUE(compiled.ok()) << compiled.error().message;
+  if (!compiled.ok()) return nullptr;
+  return std::make_shared<const ObfuscatedProtocol>(std::move(*compiled));
 }
 
 TEST(ResilienceGate, PlainModbusOverLoopbackIsFullyAnalyzable) {

@@ -13,9 +13,10 @@
 //     input, auto-invalidated when the buffer front shrinks.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "core/protoobf.hpp"
 #include "runtime/parse.hpp"
-#include "session/protocol_cache.hpp"
 #include "util/rng.hpp"
 
 namespace protoobf {
@@ -53,10 +54,10 @@ ObfuscationConfig config_of(std::uint64_t seed, int per_node) {
 std::shared_ptr<const ObfuscatedProtocol> compile(std::string_view spec,
                                                   std::uint64_t seed,
                                                   int per_node) {
-  ProtocolCache cache;
-  auto entry = cache.get_or_compile(spec, config_of(seed, per_node));
-  EXPECT_TRUE(entry.ok()) << entry.error().message;
-  return *entry;
+  return std::make_shared<const ObfuscatedProtocol>(
+      Framework::generate(Framework::load_spec(spec).value(),
+                          config_of(seed, per_node))
+          .value());
 }
 
 /// One resumable prefix parse of `wire` delivered in `step`-byte slices

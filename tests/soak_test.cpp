@@ -44,7 +44,6 @@
 #include "net/server.hpp"
 #include "obs/families.hpp"
 #include "obs/metrics.hpp"
-#include "session/protocol_cache.hpp"
 #include "util/rng.hpp"
 
 namespace protoobf {
@@ -120,12 +119,11 @@ TEST(Soak, FaultScheduleLosesNothing) {
   obs::MetricsRegistry::global().reset_values();
 
   auto g = Framework::load_spec(kSpec).value();
-  ProtocolCache cache;
   ObfuscationConfig ocfg;
   ocfg.seed = 7;
   ocfg.per_node = 2;
-  auto protocol = cache.get_or_compile(kSpec, ocfg);
-  ASSERT_TRUE(protocol.ok()) << protocol.error().message;
+  auto protocol = std::make_shared<const ObfuscatedProtocol>(
+      Framework::generate(g, ocfg).value());
 
   // Two injectors (separate stats), one seed: kills scheduled on either
   // side of the wire, replayable together.
@@ -159,7 +157,7 @@ TEST(Soak, FaultScheduleLosesNothing) {
   scfg.max_connections = conns + 64;
   if (faults) scfg.connection.ops = &server_faults;
   scfg.connection.drain_timeout = std::chrono::milliseconds(2000);
-  Server server(*protocol, length_prefix_framer_factory(), scfg);
+  Server server(protocol, length_prefix_framer_factory(), scfg);
   server.on_accept([&](Connection& conn) {
     conn.on_message([&](Connection& c, Expected<InstPtr> msg) {
       if (!msg.ok()) {
@@ -204,7 +202,7 @@ TEST(Soak, FaultScheduleLosesNothing) {
     ccfg.max_unacked = msgs;
     ccfg.seed = seed + i;
     ClientState& state = clients[i];
-    state.client = std::make_unique<ReliableClient>(loop, *protocol, ccfg);
+    state.client = std::make_unique<ReliableClient>(loop, protocol, ccfg);
     state.client->on_message([&state, &g](Expected<InstPtr> msg) {
       if (!msg.ok()) {
         if (msg.error().kind == ErrorKind::Malformed) {
@@ -227,7 +225,7 @@ TEST(Soak, FaultScheduleLosesNothing) {
     ClientState& state = clients[i];
     EventLoop& loop = *loops[i % n_loops];
     const auto id = static_cast<std::uint16_t>(i);
-    loop.post([&state, &g, proto = *protocol, id, msgs] {
+    loop.post([&state, &g, proto = protocol, id, msgs] {
       state.client->start();
       for (std::uint32_t seq = 1; seq <= msgs; ++seq) {
         Message msg = soak_message(g, id, seq);

@@ -13,7 +13,6 @@
 #include "protocols/http.hpp"
 #include "protocols/modbus.hpp"
 #include "runtime/parse.hpp"
-#include "session/protocol_cache.hpp"
 #include "stream/channel.hpp"
 
 namespace protoobf {
@@ -47,21 +46,23 @@ ObfuscationConfig config_of(std::uint64_t seed, int per_node) {
 std::shared_ptr<const ObfuscatedProtocol> compile(std::string_view spec,
                                                   std::uint64_t seed,
                                                   int per_node) {
-  ProtocolCache cache;
-  auto entry = cache.get_or_compile(spec, config_of(seed, per_node));
-  EXPECT_TRUE(entry.ok()) << entry.error().message;
-  return *entry;
+  return std::make_shared<const ObfuscatedProtocol>(
+      Framework::generate(Framework::load_spec(spec).value(),
+                          config_of(seed, per_node))
+          .value());
 }
 
 /// First frame-spec compilation at or after `seed` that ObfuscatedFramer
 /// accepts (not every seed yields a stream-safe wire format).
 std::shared_ptr<const ObfuscatedProtocol> stream_safe_framing(
     std::uint64_t seed, int per_node) {
-  ProtocolCache cache;
+  const Graph frame_graph = Framework::load_spec(kFrameSpec).value();
   for (std::uint64_t s = seed; s < seed + 64; ++s) {
-    auto entry = cache.get_or_compile(kFrameSpec, config_of(s, per_node));
-    if (!entry.ok()) continue;
-    if (stream_safe((*entry)->wire_graph()).ok()) return *entry;
+    auto compiled = Framework::generate(frame_graph, config_of(s, per_node));
+    if (!compiled.ok()) continue;
+    if (stream_safe(compiled->wire_graph()).ok()) {
+      return std::make_shared<const ObfuscatedProtocol>(std::move(*compiled));
+    }
   }
   ADD_FAILURE() << "no stream-safe frame compilation in 64 seeds";
   return nullptr;
@@ -664,10 +665,7 @@ TEST(MinNeed, ChannelExposesTheFramerFloor) {
   auto framing = stream_safe_framing(20, 2);
   ASSERT_NE(framing, nullptr);
   auto framer = ObfuscatedFramer::create(framing).value();
-  ProtocolCache cache;
-  auto inner = cache.get_or_compile(kFrameSpec, config_of(1, 0));
-  ASSERT_TRUE(inner.ok());
-  Session session(*inner);
+  Session session(compile(kFrameSpec, 1, 0));
   Channel channel(session, *framer);
   EXPECT_EQ(channel.min_need(), framer->min_need());
 }
@@ -704,9 +702,8 @@ TEST_P(ChannelRoundTrip, RandomChunkingsReassembleByteIdentically) {
   Framer& recv_framer =
       c.obf_framing ? static_cast<Framer&>(*recv_obf) : recv_plain;
 
-  WorkerPool pool(/*threads=*/2);
-  Session sender(protocol, &pool);
-  Session receiver(protocol, &pool);
+  Session sender(protocol);
+  Session receiver(protocol);
   Channel out(sender, send_framer);
   Channel in(receiver, recv_framer);
 
@@ -731,7 +728,7 @@ TEST_P(ChannelRoundTrip, RandomChunkingsReassembleByteIdentically) {
     }
 
     // Deliver under a random partition; odd rounds drain incrementally,
-    // even rounds in one pooled batch at the end.
+    // even rounds only once the whole stream is buffered.
     const bool incremental = round % 2 == 1;
     std::vector<Expected<InstPtr>> got;
     std::size_t offset = 0;
@@ -745,7 +742,9 @@ TEST_P(ChannelRoundTrip, RandomChunkingsReassembleByteIdentically) {
       }
       ASSERT_FALSE(in.failed()) << in.error().message;
     }
-    if (!incremental) got = in.drain_batch();
+    if (!incremental) {
+      while (auto message = in.receive()) got.push_back(std::move(*message));
+    }
 
     ASSERT_EQ(got.size(), kMessages) << "round " << round;
     EXPECT_EQ(in.reader().buffered(), 0u);

@@ -1336,14 +1336,11 @@ void render_top(const Options& opts, const FlatSnapshot& snap,
   const HistRow serialize = hist("protoobf_session_serialize_ns");
   const HistRow parse = hist("protoobf_session_parse_ns");
   emit("session    serialized %.0f (p50 %.1fus p99 %.1fus)  parsed %.0f "
-       "(p50 %.1fus p99 %.1fus)  cache hit/miss %.0f/%.0f\n",
+       "(p50 %.1fus p99 %.1fus)\n",
        value_or(snap.counters, "protoobf_session_serialized_total"),
        serialize.p50 / 1e3, serialize.p99 / 1e3,
        value_or(snap.counters, "protoobf_session_parsed_total"),
-       parse.p50 / 1e3, parse.p99 / 1e3,
-       value_or(snap.counters, "protoobf_session_protocol_cache_hits_total"),
-       value_or(snap.counters,
-                "protoobf_session_protocol_cache_misses_total"));
+       parse.p50 / 1e3, parse.p99 / 1e3);
   emit("reconnect  sent %.0f  resent %.0f  acked %.0f  dials %.0f  "
        "reconnects %.0f  unacked %.0f\n",
        value_or(snap.counters, "protoobf_reconnect_sent_total"),
