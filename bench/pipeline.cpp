@@ -6,7 +6,7 @@
 // call separately:
 //
 //   serialize  check, copy, canonicalize, presence, forward (the compiled
-//              journal), fix_holders (the holder fixpoint), emit
+//              journal), fix_holders (the holder pass), emit
 //   parse      parse_wire, inverse (the compiled journal), fill_consts,
 //              canonicalize, check
 //
@@ -20,7 +20,7 @@
 //
 // The last line is the ratio CI guards: HTTP per_node 4 over per_node 0,
 // serialize plus parse, within this run. Replay that is O(N + J) keeps it
-// at about 12-22 on a 4-core x86 VM; O(J × N) replay reads about 40-64.
+// at about 12-14 on a 4-core x86 VM; O(J × N) replay reads about 40-64.
 //
 // Usage: bench_pipeline [messages] [json_path]
 // Writes BENCH_pipeline.json (or json_path).
@@ -88,7 +88,7 @@ std::uint64_t msg_seed_of(std::size_t i) { return 0x5e55 + 0x9e37 * i; }
 
 /// serialize_into's passes, one clock mark after each.
 Status serialize_staged(const ObfuscatedProtocol& p,
-                        const std::vector<NodeId>& canon, const Inst& message,
+                        const HolderTable& canon, const Inst& message,
                         std::uint64_t msg_seed, SessionArena& arena,
                         StageNs<kSerializeStages.size()>& ns) {
   DeriveScratch& derive = arena.derive();
@@ -129,7 +129,7 @@ Status serialize_staged(const ObfuscatedProtocol& p,
 /// parse()'s passes: parse_wire, then finish_parse's, one clock mark after
 /// each.
 Expected<InstPtr> parse_staged(const ObfuscatedProtocol& p,
-                               const std::vector<NodeId>& canon,
+                               const HolderTable& canon,
                                BytesView wire, SessionArena& arena,
                                StageNs<kParseStages.size()>& ns) {
   StageClock clock;
@@ -184,7 +184,8 @@ bool measure(const bench::Workload& workload, int per_node,
     return false;
   }
   const ObfuscatedProtocol& p = *protocol;
-  const std::vector<NodeId> canon = canonical_holder_ids(p.original());
+  const HolderTable canon =
+      build_holder_table(p.original(), p.original(), {}).value();
   row.workload = workload.name;
   row.per_node = per_node;
   row.journal = p.journal().size();

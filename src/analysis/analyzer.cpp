@@ -720,10 +720,10 @@ class Analyzer {
 
   // --- whole-graph integrity checks ----------------------------------------
 
-  /// PO-E005: cycles among Length/Counter/Condition references. Validated
-  /// graphs cannot contain one (the target must strictly precede the
-  /// dependant in parse order), so a cycle means the artifact is corrupt
-  /// and the holder fixpoint would diverge.
+  /// PO-E005: cycles among Length/Counter/Condition references. validate()
+  /// rejects them (the target must strictly precede the dependant in parse
+  /// order), so a cycle means the artifact is corrupt: no parse order can
+  /// read, or derive, a holder that depends on itself.
   void check_reference_cycles() {
     const auto order = wire_.dfs_order();
     std::vector<std::uint8_t> color(wire_.arena_size(), 0);
@@ -754,8 +754,8 @@ class Analyzer {
         emit("PO-E005", "holder-dependency-cycle", Severity::Error, id,
              "reference cycle: '" + wire_.node(id).name +
                  "' depends on '" + wire_.node(next).name +
-                 "' which transitively depends back on it; the holder "
-                 "fixpoint cannot converge",
+                 "' which transitively depends back on it; no parse "
+                 "order can derive or read it",
              "this artifact is corrupt — no validated graph contains a "
              "reference cycle; recompile from the specification");
         color[id] = 2;
@@ -953,7 +953,8 @@ Report analyze(const ObfuscatedProtocol& protocol, const Options& options) {
 
 Report analyze_graph(const Graph& g1, const Options& options) {
   const Journal empty;
-  const HolderTable holders = build_holder_table(g1, empty);
+  // An empty journal's read plans are single leaves: this cannot fail.
+  const HolderTable holders = build_holder_table(g1, g1, empty).value();
   return analyze_parts(g1, g1, empty, holders, options);
 }
 

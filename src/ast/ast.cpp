@@ -79,11 +79,6 @@ std::vector<Inst*> find_all_schema(Inst& root, NodeId schema) {
   return out;
 }
 
-void find_all_schema(Inst& root, NodeId schema, std::vector<Inst*>& out) {
-  out.clear();
-  collect_schema(root, schema, out);
-}
-
 namespace {
 
 struct PathSegment {

@@ -93,10 +93,6 @@ const Inst* find_schema(const Inst& root, NodeId schema);
 /// All instances whose schema id matches, in pre-order.
 std::vector<Inst*> find_all_schema(Inst& root, NodeId schema);
 
-/// Same, refilling `out` (cleared first) so per-message callers reuse its
-/// capacity.
-void find_all_schema(Inst& root, NodeId schema, std::vector<Inst*>& out);
-
 /// Resolves a dotted path with optional element indices against the graph
 /// and the instance tree, e.g. "request.headers[2].header.name". Path
 /// segments are node names; "[k]" selects the k-th element under a

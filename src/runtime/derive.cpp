@@ -1,5 +1,7 @@
 #include "runtime/derive.hpp"
 
+#include <algorithm>
+
 #include "runtime/emit.hpp"
 #include "runtime/scope.hpp"
 #include "transform/exec.hpp"
@@ -9,11 +11,9 @@ namespace protoobf {
 
 namespace {
 
-constexpr int kMaxFixpointIterations = 16;
-
 /// Encodes a derived scalar with the holder terminal's encoding and width
-/// into `out`, reusing its capacity (these run inside per-message fixpoint
-/// loops, so they must not allocate in steady state).
+/// into `out`, reusing its capacity (this runs once per pair per message,
+/// so it must not allocate in steady state).
 Status encode_holder_into(Bytes& out, const Graph& graph, NodeId holder,
                           std::uint64_t value) {
   const Node& n = graph.node(holder);
@@ -38,10 +38,27 @@ Status encode_holder_into(Bytes& out, const Graph& graph, NodeId holder,
   return Status::success();
 }
 
+/// Fills one constant field, or checks it against the specification.
+Status fill_const(const Node& n, Inst& inst) {
+  if (!n.has_const) return Status::success();
+  if (inst.value.empty()) {
+    inst.value = n.const_value;
+  } else if (inst.value != n.const_value) {
+    return Unexpected("constant field '" + n.name +
+                      "' set to a non-constant value");
+  }
+  return Status::success();
+}
+
 /// Collects (holder, measured) pairs in parse order against `graph` into
-/// `pairs` (cleared first, capacity reused across fixpoint iterations).
-Status collect_pairs(const Graph& graph, Inst& root,
-                     std::vector<DeriveRef>& pairs, ScopeChain* scopes) {
+/// `pairs` (cleared first, capacity reused across messages), calling
+/// `visit(inst, node)` on every instance as the walk reaches it. Every
+/// pair links to the first pair of its holder instance, which the holder's
+/// scope entry remembers.
+template <typename Visit>
+Status collect_pairs(const Graph& graph, const HolderTable& table, Inst& root,
+                     std::vector<DeriveRef>& pairs, ScopeChain* scopes,
+                     Visit&& visit) {
   pairs.clear();
   // One right-sized allocation instead of a doubling climb on the first
   // call (arena-held scratch keeps the capacity across messages).
@@ -50,46 +67,63 @@ Status collect_pairs(const Graph& graph, Inst& root,
       graph, root,
       [&](Inst& inst, ScopeChain& chain) -> Status {
         const Node& n = graph.node(inst.schema);
+        if (Status s = visit(inst, n); !s) return s;
         if (n.boundary != BoundaryKind::Length &&
             n.boundary != BoundaryKind::Counter) {
           return Status::success();
         }
-        Inst* holder = chain.lookup(n.ref);
+        ScopeChain::Entry* holder = chain.find(n.ref);
         if (holder == nullptr) {
           return Unexpected("reference target '" + graph.node(n.ref).name +
                             "' not in scope of '" + n.name + "'");
         }
-        pairs.push_back(
-            {holder, &inst, n.boundary == BoundaryKind::Counter});
+        const HolderInfo* info = table.find_by_top(n.ref);
+        if (info == nullptr) {
+          return Unexpected("no lineage for holder '" +
+                            graph.node(n.ref).name + "'");
+        }
+        if (holder->mark == ScopeChain::kNoMark) holder->mark = pairs.size();
+        pairs.push_back({holder->inst, &inst, info, holder->mark,
+                         DeriveRef::kUnmeasured,
+                         n.boundary == BoundaryKind::Counter});
         return Status::success();
       },
       scopes);
 }
 
-/// True when the holder's wire subtree already inverts, through its own
-/// lineage, to `value`. A holder no entry transforms is compared in place.
-bool carries(const Inst& holder, const HolderInfo& info,
-             const Journal& journal, const Bytes& value, InstPool* pool) {
-  if (info.chain.empty()) {
-    return holder.schema == info.origin && holder.value == value;
+/// The one derive pass: visits `pairs` from last to first, measures each
+/// pair's region once and calls `set(k, pair)` at the first pair of every
+/// holder instance, once all of its pairs measured the same value.
+template <typename Set>
+Status derive_pass(const Graph& graph, std::vector<DeriveRef>& pairs,
+                   Set&& set) {
+  for (std::size_t k = pairs.size(); k-- > 0;) {
+    const DeriveRef& pair = pairs[k];
+    std::uint64_t value = 0;
+    if (pair.is_counter) {
+      value = pair.measured->children.size();
+    } else {
+      auto size = emitted_size(graph, *pair.measured);
+      if (!size) return Unexpected(size.error());
+      value = *size;
+    }
+    DeriveRef& first = pairs[pair.first];
+    if (first.value != DeriveRef::kUnmeasured && first.value != value) {
+      return Unexpected("holder '" + graph.node(pair.holder->schema).name +
+                        "' measures regions of different sizes");
+    }
+    first.value = value;
+    if (pair.first == k) {
+      if (Status s = set(k, first); !s) return s;
+    }
   }
-  auto logical = invert_chain(holder, journal, info.chain, pool);
-  return logical && (*logical)->schema == info.origin &&
-         (*logical)->value == value;
+  return Status::success();
 }
 
 }  // namespace
 
 Status fill_consts(const Graph& graph, Inst& root) {
-  const Node& n = graph.node(root.schema);
-  if (n.has_const) {
-    if (root.value.empty()) {
-      root.value = n.const_value;
-    } else if (root.value != n.const_value) {
-      return Unexpected("constant field '" + n.name +
-                        "' set to a non-constant value");
-    }
-  }
+  if (Status s = fill_const(graph.node(root.schema), root); !s) return s;
   if (root.present) {
     for (auto& child : root.children) {
       if (Status s = fill_consts(graph, *child); !s) return s;
@@ -124,66 +158,40 @@ Status check_presence(const Graph& graph, Inst& root, ScopeChain* scopes) {
       scopes);
 }
 
-std::vector<NodeId> canonical_holder_ids(const Graph& g1) {
-  std::vector<NodeId> holders;
-  for (NodeId id : g1.dfs_order()) {
-    if (g1.node(id).type == NodeType::Terminal &&
-        (g1.is_length_target(id) || g1.is_counter_target(id))) {
-      holders.push_back(id);
-    }
-  }
-  return holders;
-}
-
-Status canonicalize(const Graph& g1, Inst& root,
-                    const std::vector<NodeId>* holder_ids,
+Status canonicalize(const Graph& g1, Inst& root, const HolderTable* holders,
                     ScopeChain* scopes, DeriveScratch* scratch) {
-  if (Status s = fill_consts(g1, root); !s) return s;
-
-  std::vector<NodeId> local_holders;
-  if (holder_ids == nullptr) {
-    local_holders = canonical_holder_ids(g1);
-    holder_ids = &local_holders;
+  Expected<HolderTable> local_holders = HolderTable{};
+  if (holders == nullptr) {
+    local_holders = build_holder_table(g1, g1, {});
+    if (!local_holders) return Unexpected(local_holders.error());
+    holders = &*local_holders;
   }
+  if (holders->holders.empty()) return fill_consts(g1, root);
 
   DeriveScratch local_scratch;
   if (scratch == nullptr) scratch = &local_scratch;
   Bytes& encoded = scratch->encoded;
-  std::vector<Inst*>& matches = scratch->matches;
-  std::vector<DeriveRef>& pairs = scratch->pairs;
-
-  // Width-correct placeholders so intermediate measurements succeed.
-  for (NodeId holder : *holder_ids) {
-    if (Status s = encode_holder_into(encoded, g1, holder, 0); !s) return s;
-    ast::find_all_schema(root, holder, matches);
-    for (Inst* inst : matches) inst->value = encoded;
+  // One walk fills the constants, seeds every holder with a width-correct
+  // zero (the final value of a holder whose dependant is absent) and
+  // collects the pairs.
+  const auto seed = [&](Inst& inst, const Node& n) -> Status {
+    if (Status s = fill_const(n, inst); !s) return s;
+    if (holders->find_by_top(inst.schema) == nullptr) return Status::success();
+    Status s = encode_holder_into(encoded, g1, inst.schema, 0);
+    if (s) inst.value = encoded;
+    return s;
+  };
+  if (Status s =
+          collect_pairs(g1, *holders, root, scratch->pairs, scopes, seed);
+      !s) {
+    return s;
   }
-
-  for (int iter = 0; iter < kMaxFixpointIterations; ++iter) {
-    if (Status s = collect_pairs(g1, root, pairs, scopes); !s) return s;
-    bool changed = false;
-    for (const DeriveRef& pair : pairs) {
-      std::uint64_t value = 0;
-      if (pair.is_counter) {
-        value = pair.measured->children.size();
-      } else {
-        auto size = emitted_size(g1, *pair.measured);
-        if (!size) return Unexpected(size.error());
-        value = *size;
-      }
-      if (Status s = encode_holder_into(encoded, g1, pair.holder->schema,
-                                        value);
-          !s) {
-        return s;
-      }
-      if (pair.holder->value != encoded) {
-        pair.holder->value = encoded;
-        changed = true;
-      }
-    }
-    if (!changed) return Status::success();
-  }
-  return Unexpected("derived fields did not converge (cyclic lengths?)");
+  return derive_pass(g1, scratch->pairs, [&](std::size_t, DeriveRef& pair) {
+    Status s = encode_holder_into(encoded, g1, pair.holder->schema,
+                                  pair.value);
+    if (s) pair.holder->value = encoded;
+    return s;
+  });
 }
 
 Status fix_holders(const Graph& wire, const Journal& journal,
@@ -193,42 +201,32 @@ Status fix_holders(const Graph& wire, const Journal& journal,
   DeriveScratch local_scratch;
   if (scratch == nullptr) scratch = &local_scratch;
   Bytes& encoded = scratch->encoded;
-  std::vector<DeriveRef>& pairs = scratch->pairs;
-  for (int iter = 0; iter < kMaxFixpointIterations; ++iter) {
-    if (Status s = collect_pairs(wire, root, pairs, scopes); !s) return s;
-    bool changed = false;
-    for (std::size_t k = 0; k < pairs.size(); ++k) {
-      const DeriveRef& pair = pairs[k];
-      std::uint64_t value = 0;
-      if (pair.is_counter) {
-        value = pair.measured->children.size();
-      } else {
-        auto size = emitted_size(wire, *pair.measured);
-        if (!size) return Unexpected(size.error());
-        value = *size;
-      }
-      const HolderInfo* info = table.find_by_top(pair.holder->schema);
-      if (info == nullptr) {
-        return Unexpected("no lineage for holder '" +
-                          wire.node(pair.holder->schema).name + "'");
-      }
-      if (Status s = encode_holder_into(encoded, wire, info->origin, value);
-          !s) {
-        return s;
-      }
-
-      if (carries(*pair.holder, *info, journal, encoded, pool)) continue;
-
-      Rng rng(msg_seed ^ (0x9e3779b97f4a7c15ull * (k + 1)));
-      auto rebuilt =
-          rerun_chain(info->origin, encoded, journal, info->chain, rng, pool);
-      if (!rebuilt) return Unexpected(rebuilt.error());
-      *pair.holder = std::move(**rebuilt);
-      changed = true;
-    }
-    if (!changed) return Status::success();
+  if (Status s = collect_pairs(
+          wire, table, root, scratch->pairs, scopes,
+          [](Inst&, const Node&) { return Status::success(); });
+      !s) {
+    return s;
   }
-  return Unexpected("wire holder derivation did not converge");
+  return derive_pass(wire, scratch->pairs, [&](std::size_t k,
+                                               DeriveRef& pair) -> Status {
+    const HolderInfo& info = *pair.info;
+    if (Status s = encode_holder_into(encoded, wire, info.origin, pair.value);
+        !s) {
+      return s;
+    }
+    auto carried = read_value(info.plan, *pair.holder, journal,
+                              scratch->registers);
+    if (carried && std::equal(carried->begin(), carried->end(),
+                              encoded.begin(), encoded.end())) {
+      return Status::success();
+    }
+    Rng rng(msg_seed ^ (0x9e3779b97f4a7c15ull * (k + 1)));
+    auto rebuilt =
+        rerun_chain(info.origin, encoded, journal, info.chain, rng, pool);
+    if (!rebuilt) return Unexpected(rebuilt.error());
+    *pair.holder = std::move(**rebuilt);
+    return Status::success();
+  });
 }
 
 }  // namespace protoobf

@@ -13,12 +13,19 @@
 //    parser will use to delimit a region after all transformations resized
 //    it. Because value transformations may sit on top of a holder (split
 //    length fields, xored counters...), the holder's subtree is rebuilt by
-//    replaying its lineage chain over the fresh value (transform/lineage).
+//    replaying its lineage chain over the fresh value (transform/lineage),
+//    unless its read plan shows it already carries that value.
 //
-// Both run small fixpoint loops: an ASCII-decimal length's width depends on
-// its own value, and nested holders depend on each other. Loops converge in
-// one or two iterations for realistic specifications; a hard cap turns
-// non-convergence (a cyclic specification) into an error.
+// Both derive every holder in one pass: a walk in parse order records a
+// (holder, measured) pair at each Length/Counter node, and the pass visits
+// the pairs from last to first. That order is exact: a pair's holder is
+// complete before its measured node is reached (validate() guarantees it),
+// so a holder inside a measured region belongs to a later pair, and is
+// final, width included, before the region is measured. A holder instance
+// measured by several pairs (several nodes reference it, or its dependant
+// repeats in Repetition/Tabular elements) is set by its first pair, once
+// all of them agree. A rebuild draws from the stream keyed on that pair's
+// parse-order index.
 #pragma once
 
 #include "ast/ast.hpp"
@@ -31,25 +38,26 @@
 
 namespace protoobf {
 
-/// One (holder, measured) pair of a derive fixpoint: the instance carrying
-/// a derived value and the instance whose emitted size (Length) or element
+/// One (holder, measured) pair of a derive pass: the instance carrying a
+/// derived value and the instance whose emitted size (Length) or element
 /// count (Counter) defines it.
 struct DeriveRef {
+  static constexpr std::uint64_t kUnmeasured = ~std::uint64_t{0};
+
   Inst* holder;
   Inst* measured;
+  const HolderInfo* info;
+  std::size_t first;    // index of the first pair with this holder instance
+  std::uint64_t value;  // first pair: the value its visited pairs measured
   bool is_counter;
 };
 
-/// Reusable scratch for the derive fixpoints. These vectors used to be
-/// function-local in canonicalize()/fix_holders() — the last O(1)-but-real
-/// allocations on the session hot path (ROADMAP "residual per-message
-/// allocations"). An arena-held bundle keeps their capacity across
-/// messages, so the steady state re-derives without touching the heap.
-/// Not thread-safe: one bundle per thread of control, like the arena.
+/// Reusable scratch for the derive passes: an arena-held bundle re-derives
+/// without touching the heap. Not thread-safe, like the arena.
 struct DeriveScratch {
-  std::vector<DeriveRef> pairs;  // fixpoint work list
-  std::vector<Inst*> matches;    // canonicalize() placeholder targets
+  std::vector<DeriveRef> pairs;  // the pass's work list
   Bytes encoded;                 // holder-encoding buffer
+  Bytes registers;               // fix_holders()' read-plan registers
   EntryStreams streams;          // serialize's per-entry random streams
 };
 
@@ -63,29 +71,24 @@ Status fill_consts(const Graph& graph, Inst& root);
 Status check_presence(const Graph& graph, Inst& root,
                       ScopeChain* scopes = nullptr);
 
-/// The holder terminals (length/count targets) canonicalize seeds with
-/// width-correct placeholders, in DFS order. Depends only on the graph, so
-/// callers that canonicalize per message (ObfuscatedProtocol) compute it
-/// once and pass it back in.
-std::vector<NodeId> canonical_holder_ids(const Graph& g1);
-
 /// Logical derivation: consts + length/count holders per G1 semantics.
 /// Size measurements run through the counting emitter, so no intermediate
-/// buffer is ever materialized. `holder_ids`, when given, must equal
-/// canonical_holder_ids(g1) (it is recomputed when null); `scopes` is a
-/// reusable scope table for the fixpoint walks and `scratch` a reusable
-/// bundle for their work vectors (locals are used when null).
+/// buffer is ever materialized. `holders`, when given, must equal
+/// build_holder_table(g1, g1, {}) (it is rebuilt when null); `scopes` is a
+/// reusable scope table for the pass's walk and `scratch` a reusable bundle
+/// for its work vectors (locals are used when null).
 Status canonicalize(const Graph& g1, Inst& root,
-                    const std::vector<NodeId>* holder_ids = nullptr,
+                    const HolderTable* holders = nullptr,
                     ScopeChain* scopes = nullptr,
                     DeriveScratch* scratch = nullptr);
 
 /// Wire derivation on the transformed tree: recomputes every holder from
 /// the final wire sizes/counts and replays its transformation lineage. A
-/// holder whose lineage already inverts to the fresh value is left alone.
-/// `msg_seed` keeps the replayed randomness deterministic per message;
-/// `pool`, when given, backs the rebuilt holder subtrees so steady-state
-/// sessions rebuild without heap traffic, and `scopes` the fixpoint walks.
+/// holder whose read plan already yields the fresh value is left alone, so
+/// an already-derived tree draws no node from `pool`. `msg_seed` keeps the
+/// replayed randomness deterministic per message; `pool`, when given,
+/// backs the rebuilt holder subtrees so steady-state sessions rebuild
+/// without heap traffic, and `scopes` the pass's walk.
 Status fix_holders(const Graph& wire, const Journal& journal,
                    const HolderTable& table, Inst& root,
                    std::uint64_t msg_seed, InstPool* pool = nullptr,

@@ -46,8 +46,8 @@ Status emit_into(const Graph& graph, const Inst& root, Bytes& out,
 /// empty repetition elements) by streaming values through incremental
 /// matchers instead of writing a buffer. Returns exactly the size (and
 /// exactly the errors, in the same order) that emit() would produce —
-/// derive's fixpoint loops call this many times per message, so it must
-/// neither write nor allocate per byte.
+/// derive's passes call it once per measured region per message, so it
+/// must neither write nor allocate per byte.
 Expected<std::size_t> emitted_size(const Graph& graph, const Inst& root);
 
 }  // namespace protoobf

@@ -95,52 +95,44 @@ class WireParser {
     return Unexpected(what, r.pos);
   }
 
-  /// Logical value of an already-parsed reference target, recovered by
-  /// inverting only its own lineage chain (`info`). A target no entry
-  /// transforms is read in place; otherwise `keep` holds the pooled,
-  /// inverted copy the returned view points into.
-  Expected<BytesView> logical_value(const HolderInfo& info, const Inst& target,
-                                    InstPtr& keep, const Reader& r) const {
-    const Inst* logical = &target;
-    if (!info.chain.empty()) {
-      auto inverted = invert_chain(target, journal_, info.chain, nodes_);
-      if (!inverted) return Unexpected(inverted.error());
-      keep = std::move(*inverted);
-      logical = keep.get();
-    }
-    if (!logical->children.empty()) {
-      return fail(r, "reference target does not invert to a terminal");
-    }
-    return BytesView(logical->value);
-  }
-
-  Expected<const HolderInfo*> lineage(NodeId ref, const Reader& r) const {
+  /// Runs `ref`'s read plan over its parsed subtree `target`, in registers
+  /// borrowed from the scratch pool, and hands the logical bytes to `use`.
+  template <typename T, typename Use>
+  Expected<T> read_reference(NodeId ref, const Inst& target, const Reader& r,
+                             Use&& use) const {
     const HolderInfo* info = table_.find_reference(ref);
     if (info == nullptr) {
       return fail(r, "reference target '" + wire_.node(ref).name +
                          "' has no lineage");
     }
-    return info;
+    Bytes registers = scratch_ != nullptr ? scratch_->acquire() : Bytes();
+    auto bytes = read_value(info->plan, target, journal_, registers);
+    Expected<T> out =
+        bytes ? use(*bytes, *info)
+              : Expected<T>(fail(r, "reference target '" +
+                                        wire_.node(ref).name +
+                                        "' does not invert: " +
+                                        bytes.error().message));
+    if (scratch_ != nullptr) scratch_->release(std::move(registers));
+    return out;
   }
 
   /// Logical scalar of a holder (length or count), decoded with the origin
   /// terminal's encoding.
   Expected<std::uint64_t> scalar(NodeId ref, const Inst& holder,
                                  const Reader& r) const {
-    auto info = lineage(ref, r);
-    if (!info) return Unexpected(info.error());
-    InstPtr keep;
-    auto logical = logical_value(**info, holder, keep, r);
-    if (!logical) return Unexpected(logical.error());
-    const BytesView bytes = *logical;
-    const Node& n = wire_.node((*info)->origin);
-    if (n.encoding == Encoding::AsciiDec) {
-      auto value = ascii_dec_decode(bytes);
-      if (!value) return fail(r, "holder is not a decimal number");
-      return *value;
-    }
-    if (bytes.size() > 8) return fail(r, "holder wider than 8 bytes");
-    return be_decode(bytes);
+    return read_reference<std::uint64_t>(
+        ref, holder, r,
+        [&](BytesView bytes,
+            const HolderInfo& info) -> Expected<std::uint64_t> {
+          if (wire_.node(info.origin).encoding == Encoding::AsciiDec) {
+            auto value = ascii_dec_decode(bytes);
+            if (!value) return fail(r, "holder is not a decimal number");
+            return *value;
+          }
+          if (bytes.size() > 8) return fail(r, "holder wider than 8 bytes");
+          return be_decode(bytes);
+        });
   }
 
   Expected<Inst*> lookup(NodeId ref, const Reader& r) {
@@ -403,12 +395,13 @@ class WireParser {
         if (!restored && n.condition.kind != Condition::Kind::Always) {
           auto ref = lookup(n.condition.ref, r);
           if (!ref) return Unexpected(ref.error());
-          auto info = lineage(n.condition.ref, r);
-          if (!info) return Unexpected(info.error());
-          InstPtr keep;
-          auto logical = logical_value(**info, **ref, keep, r);
-          if (!logical) return Unexpected(logical.error());
-          present = n.condition.evaluate(*logical);
+          auto holds = read_reference<bool>(
+              n.condition.ref, **ref, r,
+              [&](BytesView bytes, const HolderInfo&) -> Expected<bool> {
+                return n.condition.evaluate(bytes);
+              });
+          if (!holds) return Unexpected(holds.error());
+          present = *holds;
         }
         if (present) {
           if (!restored) inst = ast::make(nodes_, id);

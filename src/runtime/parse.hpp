@@ -5,9 +5,9 @@
 // sub-node of AST from the message, it must first delimit the corresponding
 // sub-part"): a Length/Counter/Condition target may itself have been
 // transformed — split in two, xored, wrapped — so the parser recovers its
-// *logical* value by inverting the target's own lineage chain
-// (transform/lineage.hpp) over the already-parsed subtree before using it
-// to delimit what follows.
+// *logical* value by running the target's read plan (transform/lineage.hpp:
+// its lineage chain's inverse over the leaf bytes of the already-parsed
+// subtree, with no node copied) before using it to delimit what follows.
 #pragma once
 
 #include "ast/ast.hpp"

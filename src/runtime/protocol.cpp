@@ -8,23 +8,37 @@
 namespace protoobf {
 
 ObfuscatedProtocol::ObfuscatedProtocol(Graph original, ObfuscationResult result,
-                                       JournalProgram program)
+                                       JournalProgram program,
+                                       HolderTable holders)
     : original_(std::move(original)),
       wire_(std::move(result.graph)),
       journal_(std::move(result.journal)),
       stats_(result.stats),
       program_(std::move(program)),
-      holders_(build_holder_table(original_, journal_)),
-      canon_holders_(canonical_holder_ids(original_)) {}
+      holders_(std::move(holders)),
+      // An empty journal's read plans are single leaves: this cannot fail.
+      canon_holders_(build_holder_table(original_, original_, {}).value()) {}
+
+Expected<ObfuscatedProtocol> ObfuscatedProtocol::assemble(
+    Graph original, ObfuscationResult result) {
+  auto program = compile_program(original, result.graph, result.journal);
+  if (!program) return Unexpected(program.error());
+  auto holders = build_holder_table(original, result.graph, result.journal);
+  if (!holders) return Unexpected(holders.error());
+  // Counted once the journal's kinds are known to be valid.
+  result.stats = {result.journal.size(), {}};
+  for (const AppliedTransform& e : result.journal) {
+    ++result.stats.per_kind[static_cast<std::size_t>(e.kind)];
+  }
+  return ObfuscatedProtocol(std::move(original), std::move(result),
+                            std::move(*program), std::move(*holders));
+}
 
 Expected<ObfuscatedProtocol> ObfuscatedProtocol::create(
     const Graph& g1, const ObfuscationConfig& config) {
   auto result = obfuscate(g1, config);
   if (!result) return Unexpected(result.error());
-  auto program = compile_program(g1, result->graph, result->journal);
-  if (!program) return Unexpected(program.error());
-  return ObfuscatedProtocol(g1.clone(), std::move(*result),
-                            std::move(*program));
+  return assemble(g1.clone(), std::move(*result));
 }
 
 Expected<ObfuscatedProtocol> ObfuscatedProtocol::from_parts(Graph original,
@@ -37,17 +51,12 @@ Expected<ObfuscatedProtocol> ObfuscatedProtocol::from_parts(Graph original,
   if (Status s = validate(wire); !s) {
     return Unexpected("artifact wire graph invalid: " + s.error().message);
   }
-  auto program = compile_program(original, wire, journal);
-  if (!program) {
-    return Unexpected("artifact journal invalid: " + program.error().message);
+  auto protocol = assemble(std::move(original),
+                           {std::move(wire), std::move(journal), {}});
+  if (!protocol) {
+    return Unexpected("artifact journal invalid: " + protocol.error().message);
   }
-  ObfuscationResult result{std::move(wire), std::move(journal), {}};
-  result.stats.applied = result.journal.size();
-  for (const AppliedTransform& e : result.journal) {
-    ++result.stats.per_kind[static_cast<std::size_t>(e.kind)];
-  }
-  return ObfuscatedProtocol(std::move(original), std::move(result),
-                            std::move(*program));
+  return protocol;
 }
 
 Expected<Bytes> ObfuscatedProtocol::serialize(

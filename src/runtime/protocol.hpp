@@ -36,7 +36,8 @@ class ObfuscatedProtocol {
 
   /// Rebuilds a protocol from persisted parts (runtime/persist.hpp). Both
   /// graphs are re-validated, the journal is checked against them while it
-  /// is compiled (compile_program), and statistics are recomputed from it.
+  /// is compiled (compile_program) and while the holders' read plans are
+  /// (build_holder_table), and statistics are recomputed from it.
   static Expected<ObfuscatedProtocol> from_parts(Graph original, Graph wire,
                                                  Journal journal);
 
@@ -62,9 +63,9 @@ class ObfuscatedProtocol {
   /// the canonicalize/forward-transform passes mutate a workspace copy
   /// whose nodes come from `nodes` (when given) — the session arena's pool
   /// — so a steady-state session serializes with O(1) small allocations
-  /// per message (fixpoint-local scratch) instead of O(nodes). Size
+  /// per message (derive-pass scratch) instead of O(nodes). Size
   /// measurement runs through the counting emitter, so no scratch buffer
-  /// is needed anymore; `derive`, when given, backs the derive-fixpoint
+  /// is needed anymore; `derive`, when given, backs the derive passes'
   /// work vectors the same way.
   Status serialize_into(const Inst& message, std::uint64_t msg_seed,
                         Bytes& out, std::vector<FieldSpan>* spans = nullptr,
@@ -76,7 +77,8 @@ class ObfuscatedProtocol {
   /// when given, provides reusable buffers for mirrored-region copies;
   /// `scopes` a reusable reference-scope table; `nodes` a tree-node pool
   /// backing every instance of the result (which then must not outlive the
-  /// pool); `derive` reusable derive-fixpoint scratch.
+  /// pool); `derive` reusable derive-pass scratch. Reference reads borrow
+  /// their registers from `scratch`.
   Expected<InstPtr> parse(BytesView wire, BufferPool* scratch = nullptr,
                           ScopeChain* scopes = nullptr,
                           InstPool* nodes = nullptr,
@@ -107,7 +109,12 @@ class ObfuscatedProtocol {
 
  private:
   ObfuscatedProtocol(Graph original, ObfuscationResult result,
-                     JournalProgram program);
+                     JournalProgram program, HolderTable holders);
+
+  /// create()'s and from_parts()' tail: compiles the journal and the
+  /// holder table, and counts the statistics from the journal.
+  static Expected<ObfuscatedProtocol> assemble(Graph original,
+                                               ObfuscationResult result);
 
   Expected<InstPtr> finish_parse(Expected<InstPtr> tree, InstPool* nodes,
                                  ScopeChain* scopes,
@@ -119,7 +126,7 @@ class ObfuscatedProtocol {
   ObfuscationStats stats_;
   JournalProgram program_;
   HolderTable holders_;
-  std::vector<NodeId> canon_holders_;  // canonical_holder_ids(original_)
+  HolderTable canon_holders_;  // G1's own table (empty journal)
 };
 
 }  // namespace protoobf

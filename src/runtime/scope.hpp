@@ -27,6 +27,16 @@ namespace protoobf {
 
 class ScopeChain {
  public:
+  /// One registration. `mark` is a slot for the caller, kNoMark until the
+  /// caller sets it: the derive passes keep a holder instance's first
+  /// (holder, measured) pair there.
+  struct Entry {
+    NodeId id;
+    Inst* inst;
+    std::size_t mark;
+  };
+  static constexpr std::size_t kNoMark = ~std::size_t{0};
+
   ScopeChain() { push(); }
 
   /// Opens a scope. Retired scopes keep their entry capacity, so iterating
@@ -44,17 +54,23 @@ class ScopeChain {
   void pop() { --depth_; }
 
   void add(Inst* inst) {
-    scopes_[depth_ - 1].emplace_back(inst->schema, inst);
+    scopes_[depth_ - 1].push_back({inst->schema, inst, kNoMark});
   }
 
-  Inst* lookup(NodeId id) const {
+  /// The newest registration of `id` in scope, or null.
+  Entry* find(NodeId id) {
     for (std::size_t i = depth_; i-- > 0;) {
-      const auto& entries = scopes_[i];
+      auto& entries = scopes_[i];
       for (std::size_t k = entries.size(); k-- > 0;) {
-        if (entries[k].first == id) return entries[k].second;
+        if (entries[k].id == id) return &entries[k];
       }
     }
     return nullptr;
+  }
+
+  Inst* lookup(NodeId id) {
+    Entry* entry = find(id);
+    return entry != nullptr ? entry->inst : nullptr;
   }
 
   /// Back to a single empty root scope, keeping all entry capacity.
@@ -64,7 +80,7 @@ class ScopeChain {
   }
 
  private:
-  std::vector<std::vector<std::pair<NodeId, Inst*>>> scopes_;
+  std::vector<std::vector<Entry>> scopes_;
   std::size_t depth_ = 0;
 };
 

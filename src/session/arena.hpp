@@ -42,9 +42,9 @@ class SessionArena {
   /// Reusable reference-scope table for parse() (reset per message).
   ScopeChain& scopes() { return scopes_; }
 
-  /// Reusable derive-fixpoint scratch (pairs/matches/encoded work vectors
-  /// of canonicalize()/fix_holders()), the last per-message allocations of
-  /// the hot path before it was arena-held.
+  /// Reusable derive-pass scratch (the pairs, encoding and read-plan
+  /// register buffers of canonicalize()/fix_holders()), the last
+  /// per-message allocations of the hot path before it was arena-held.
   DeriveScratch& derive() { return derive_; }
 
   /// AST node pool backing parse trees and serialize workspaces. Trees

@@ -39,7 +39,7 @@ class Session {
   /// Parses with the arena backing the whole operation: scratch buffers
   /// for mirrored regions, the scope table, and the node pool every
   /// instance of the result comes from. Steady state performs O(1) small
-  /// allocations per message (fixpoint-local scratch), never O(nodes).
+  /// allocations per message (derive-pass scratch), never O(nodes).
   /// Because dropping the returned tree recycles its nodes
   /// into the arena's pool, the tree must not outlive the session and
   /// must be destroyed on the session's thread of control — handing a

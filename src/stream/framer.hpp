@@ -215,7 +215,7 @@ class ObfuscatedFramer final : public Framer {
   std::size_t min_need_;   // static floor on any frame's wire size
   BufferPool scratch_;     // mirrored-region buffers
   ScopeChain scopes_;      // reusable reference-scope table
-  DeriveScratch derive_;   // derive-fixpoint work vectors
+  DeriveScratch derive_;   // derive-pass work vectors
   InstPool nodes_;         // recycles frame trees across encodes/decodes
   ParseResume resume_;     // suspended prefix parse between NeedMore retries
                            // (declared after nodes_: partial trees must drop

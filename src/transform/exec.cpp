@@ -90,18 +90,18 @@ void forward_const(Inst& p, const AppliedTransform& e) {
   }
 }
 
-void inverse_const(Inst& p, const AppliedTransform& e) {
+void inverse_const(std::span<Byte> value, const AppliedTransform& e) {
   switch (e.kind) {
-    case TransformKind::ConstAdd: sub_key_in(p.value, e.key); break;
-    case TransformKind::ConstSub: add_key_in(p.value, e.key); break;
-    case TransformKind::ConstXor: xor_key_in(p.value, e.key); break;
+    case TransformKind::ConstAdd: sub_key_in(value, e.key); break;
+    case TransformKind::ConstSub: add_key_in(value, e.key); break;
+    case TransformKind::ConstXor: xor_key_in(value, e.key); break;
     default: break;
   }
 }
 
 Status forward_boundary_change(InstPtr& p, const AppliedTransform& e,
                                InstPool* pool) {
-  // Width-correct placeholder; the real value is set by the holder fixpoint
+  // Width-correct placeholder; the real value is set by the holder pass
   // (runtime/derive) once the final wire size of the data child is known.
   InstPtr length = ast::make(pool, e.created_a);
   if (e.len_ascii) {
@@ -289,6 +289,63 @@ Status inverse_node(InstPtr& slot, const JournalProgram& program,
   return Status::success();
 }
 
+// --- read plans -------------------------------------------------------------
+
+/// Evaluates step `s` of `plan` and appends its bytes to `registers`,
+/// returning where they start: a leaf loads its terminal, a split step
+/// combines its halves' bytes as inverse_split does; either then undoes
+/// the step's Const* entries, latest first.
+Expected<std::size_t> eval_step(const ReadPlan& plan, std::size_t s,
+                                const Inst& top, const Journal& journal,
+                                Bytes& registers) {
+  const ReadPlan::Step& step = plan.steps[s];
+  std::size_t out = registers.size();
+  if (step.split == ReadPlan::kLeaf) {
+    const Inst* leaf = &top;
+    for (const std::uint32_t k : step.path) {
+      if (k >= leaf->children.size()) break;
+      leaf = leaf->children[k].get();
+    }
+    if (leaf->schema != step.node || !leaf->children.empty()) {
+      return Unexpected("no terminal " + std::to_string(step.node) +
+                        " where the lineage puts it");
+    }
+    registers.insert(registers.end(), leaf->value.begin(), leaf->value.end());
+  } else {
+    auto a = eval_step(plan, step.halves, top, journal, registers);
+    if (!a) return a;
+    const std::size_t a_size = registers.size() - *a;
+    auto b = eval_step(plan, step.halves + 1, top, journal, registers);
+    if (!b) return b;
+    const std::size_t b_size = registers.size() - *b;
+    const TransformKind kind = journal[step.split].kind;
+    out = registers.size();
+    if (kind == TransformKind::SplitCat) {
+      registers.resize(out + a_size + b_size);
+      std::copy_n(registers.begin() + *a, a_size, registers.begin() + out);
+      std::copy_n(registers.begin() + *b, b_size,
+                  registers.begin() + out + a_size);
+    } else if (a_size != b_size) {
+      return Unexpected("journal entry " + std::to_string(step.split) + " (" +
+                        to_string(kind) + "): split halves of unequal size");
+    } else {
+      registers.resize(out + a_size);
+      for (std::size_t i = 0; i < a_size; ++i) {
+        const Byte x = registers[*a + i];
+        const Byte y = registers[*b + i];
+        registers[out + i] =
+            static_cast<Byte>(kind == TransformKind::SplitAdd   ? y - x
+                              : kind == TransformKind::SplitSub ? y + x
+                                                                : y ^ x);
+      }
+    }
+  }
+  for (auto it = step.consts.rbegin(); it != step.consts.rend(); ++it) {
+    inverse_const(std::span(registers).subspan(out), journal[*it]);
+  }
+  return out;
+}
+
 }  // namespace
 
 void EntryStreams::reset(std::uint64_t msg_seed, std::size_t entries) {
@@ -297,7 +354,7 @@ void EntryStreams::reset(std::uint64_t msg_seed, std::size_t entries) {
   for (std::size_t i = 0; i < entries; ++i) {
     // One SplitMix64 round over a distinct input per (message, entry)
     // seeds each stream, so the streams are independent of each other
-    // and of the per-holder streams of the holder fix-up.
+    // and of the per-holder streams of the holder pass.
     Rng key(msg_seed ^ (0xd1b54a32d192ed03ull * (i + 1)));
     streams_.emplace_back(key.next_u64());
   }
@@ -362,7 +419,7 @@ Status inverse_entry(InstPtr& root, const AppliedTransform& entry,
     case TransformKind::ConstSub:
     case TransformKind::ConstXor:
       return for_each_match(root, entry.target, bound, [&](InstPtr& p) {
-        inverse_const(*p, entry);
+        inverse_const(p->value, entry);
         return Status::success();
       });
     case TransformKind::BoundaryChange:
@@ -423,6 +480,15 @@ Status inverse_program(InstPtr& root, const JournalProgram& program,
                        const Journal& journal, InstPool* pool) {
   if (program.empty()) return Status::success();
   return inverse_node(root, program, journal, pool);
+}
+
+Expected<BytesView> read_value(const ReadPlan& plan, const Inst& top,
+                               const Journal& journal, Bytes& registers) {
+  registers.clear();
+  if (plan.steps.empty()) return Unexpected("holder without a read plan");
+  auto value = eval_step(plan, 0, top, journal, registers);
+  if (!value) return Unexpected(value.error());
+  return BytesView(registers).subspan(*value);
 }
 
 Expected<InstPtr> invert_chain(const Inst& wire_subtree, const Journal& journal,

@@ -96,11 +96,19 @@ Status forward_program(InstPtr& root, const JournalProgram& program,
 Status inverse_program(InstPtr& root, const JournalProgram& program,
                        const Journal& journal, InstPool* pool = nullptr);
 
-/// Deep-copies the wire subtree of a referenced field and inverts its
-/// lineage `chain` (indices into the journal) in reverse, recovering the
-/// logical value of a holder or condition target. Entries outside the
-/// chain never match inside the subtree, so this equals inverting the
-/// whole journal over it.
+/// Reads the logical value of a holder or condition target off its wire
+/// subtree `top` with its read plan (transform/lineage.hpp), in `registers`
+/// (cleared first, capacity reused) and without copying a node. The view
+/// points into `registers`. Fails where invert_chain would: a leaf missing
+/// from the subtree, or arithmetic split halves of unequal size.
+Expected<BytesView> read_value(const ReadPlan& plan, const Inst& top,
+                               const Journal& journal, Bytes& registers);
+
+/// Test reference for read_value: deep-copies the wire subtree of a
+/// referenced field and inverts its lineage `chain` (indices into the
+/// journal) in reverse, recovering the logical value as a node. Entries
+/// outside the chain never match inside the subtree, so this equals
+/// inverting the whole journal over it.
 Expected<InstPtr> invert_chain(const Inst& wire_subtree, const Journal& journal,
                                const std::vector<std::size_t>& chain,
                                InstPool* pool = nullptr);

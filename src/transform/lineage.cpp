@@ -71,9 +71,71 @@ bool requires_created(TransformKind kind, NodeId AppliedTransform::*slot) {
   }
 }
 
+/// Compiles `info.chain` into `info.plan`. The split tree comes from the
+/// chain; each value leaf's path from the top comes from `wire`, which
+/// already holds every pad, swap and split the chain made.
+Status compile_read_plan(HolderInfo& info, const Graph& wire,
+                         const Journal& journal) {
+  std::vector<ReadPlan::Step>& steps = info.plan.steps;
+  steps.assign(1, {});
+  steps[0].node = info.origin;
+  for (const std::size_t index : info.chain) {
+    const AppliedTransform& e = journal[index];
+    const auto fail = [&](const char* what) {
+      return Unexpected("journal entry " + std::to_string(index) + " (" +
+                        to_string(e.kind) + "): " + what);
+    };
+    // The target's current value: a step no split has consumed yet.
+    const auto value = std::find_if(steps.begin(), steps.end(), [&](auto& s) {
+      return s.node == e.target && s.split == ReadPlan::kLeaf;
+    });
+    switch (e.kind) {
+      case TransformKind::SplitAdd:
+      case TransformKind::SplitSub:
+      case TransformKind::SplitXor:
+      case TransformKind::SplitCat:
+        if (value == steps.end()) return fail("target holds no value");
+        value->split = static_cast<std::uint32_t>(index);
+        value->halves = static_cast<std::uint32_t>(steps.size());
+        steps.emplace_back().node = e.created_a;
+        steps.emplace_back().node = e.created_b;
+        break;
+      case TransformKind::ConstAdd:
+      case TransformKind::ConstSub:
+      case TransformKind::ConstXor:
+        if (value == steps.end()) return fail("target holds no value");
+        value->consts.push_back(static_cast<std::uint32_t>(index));
+        break;
+      case TransformKind::PadInsert:
+      case TransformKind::ChildMove:
+      case TransformKind::ReadFromEnd:
+        break;  // they move leaves; the wire paths below see where
+      default:
+        return fail("cannot be read in place");
+    }
+  }
+  for (ReadPlan::Step& step : steps) {
+    if (step.split != ReadPlan::kLeaf) continue;
+    for (NodeId at = step.node; at != info.top;) {
+      const NodeId parent =
+          at < wire.arena_size() ? wire.node(at).parent : kNoNode;
+      if (parent == kNoNode || step.path.size() >= wire.arena_size()) {
+        return Unexpected("value " + std::to_string(step.node) +
+                          " is not inside the wire top");
+      }
+      const auto& kids = wire.node(parent).children;
+      const auto k = std::find(kids.begin(), kids.end(), at) - kids.begin();
+      step.path.insert(step.path.begin(), static_cast<std::uint32_t>(k));
+      at = parent;
+    }
+  }
+  return Status::success();
+}
+
 }  // namespace
 
-HolderTable build_holder_table(const Graph& g1, const Journal& journal) {
+Expected<HolderTable> build_holder_table(const Graph& g1, const Graph& wire,
+                                         const Journal& journal) {
   HolderTable table;
 
   // Native holders: terminals of G1 referenced by Length/Counter boundaries.
@@ -103,11 +165,18 @@ HolderTable build_holder_table(const Graph& g1, const Journal& journal) {
     }
   }
 
-  for (std::size_t i = 0; i < table.holders.size(); ++i) {
-    table.by_top[table.holders[i].top] = i;
-  }
-  for (std::size_t i = 0; i < table.conditions.size(); ++i) {
-    table.condition_by_top[table.conditions[i].top] = i;
+  table.holder_at.assign(wire.arena_size(), HolderTable::kNone);
+  table.condition_at = table.holder_at;
+  for (auto [infos, at] : {std::pair{&table.holders, &table.holder_at},
+                           std::pair{&table.conditions, &table.condition_at}}) {
+    for (std::uint32_t i = 0; i < infos->size(); ++i) {
+      HolderInfo& info = (*infos)[i];
+      if (Status s = compile_read_plan(info, wire, journal); !s) {
+        return Unexpected("lineage of node " + std::to_string(info.origin) +
+                          ": " + s.error().message);
+      }
+      if (info.top < at->size()) (*at)[info.top] = i;
+    }
   }
   return table;
 }

@@ -14,10 +14,10 @@
 // ordered list of journal entries whose target lies inside the holder's
 // growing subtree; replaying that chain over a freshly computed logical
 // value rebuilds the holder's wire subtree (transform/exec.hpp's
-// rerun_chain), and inverting it recovers the logical value from the wire
-// subtree (invert_chain). The serializer uses this to fix up every holder
-// once the final wire sizes are known; the parser uses it to read lengths,
-// counts and presence conditions.
+// rerun_chain); its read plan (ReadPlan below) reads the logical value
+// back off the wire subtree's leaf bytes without copying a node. The
+// serializer uses it to skip holders that already carry their value; the
+// parser to read lengths, counts and presence conditions.
 //
 // The same created-ids propagation also compiles the whole journal into
 // per-node programs (JournalProgram): every wire node is owned by the G1
@@ -29,7 +29,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -38,39 +37,67 @@
 
 namespace protoobf {
 
+/// A lineage chain's inverse as a read over the wire subtree's leaves (run
+/// by transform/exec.hpp's read_value). Each value the chain gives the
+/// field is one step, keyed by node id: the origin and every Split* half.
+/// A step no later entry splits is a leaf, read from the terminal at `path`
+/// below the wire top; a split step combines its halves. Either then undoes
+/// its Const* entries. PadInsert, ChildMove and ReadFromEnd only move
+/// leaves, which the paths already reflect.
+struct ReadPlan {
+  static constexpr std::uint32_t kLeaf = ~std::uint32_t{0};
+
+  struct Step {
+    NodeId node = kNoNode;
+    std::uint32_t split = kLeaf;  // journal index of the Split* that halved it
+    std::uint32_t halves = 0;     // steps[halves], steps[halves + 1]
+    std::vector<std::uint32_t> path;    // leaf: child indices from the top
+    std::vector<std::uint32_t> consts;  // Const* entries, in journal order
+  };
+  std::vector<Step> steps;  // steps[0] is the origin
+};
+
 struct HolderInfo {
   NodeId origin = kNoNode;  // the terminal that logically holds the value
   NodeId top = kNoNode;     // top of the holder's subtree in the wire graph
   std::vector<std::size_t> chain;  // journal indices to replay over origin
+  ReadPlan plan;                   // the chain's inverse, read in place
 };
 
 struct HolderTable {
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
   std::vector<HolderInfo> holders;
-  std::unordered_map<NodeId, std::size_t> by_top;  // wire top -> index
   // Optional condition targets are not holders (nothing derives them), but
   // the parser reads their logical value the same way, through their own
   // lineage.
   std::vector<HolderInfo> conditions;
-  std::unordered_map<NodeId, std::size_t> condition_by_top;
+  // Wire id -> index into `holders` / `conditions` (kNone: not a top).
+  std::vector<std::uint32_t> holder_at, condition_at;
 
   const HolderInfo* find_by_top(NodeId top) const {
-    const auto it = by_top.find(top);
-    return it == by_top.end() ? nullptr : &holders[it->second];
+    return top < holder_at.size() && holder_at[top] != kNone
+               ? &holders[holder_at[top]]
+               : nullptr;
   }
 
   /// Lineage of any referenced wire top: a holder's first, else a
   /// condition target's. Null when `top` is neither.
   const HolderInfo* find_reference(NodeId top) const {
     if (const HolderInfo* holder = find_by_top(top)) return holder;
-    const auto it = condition_by_top.find(top);
-    return it == condition_by_top.end() ? nullptr : &conditions[it->second];
+    return top < condition_at.size() && condition_at[top] != kNone
+               ? &conditions[condition_at[top]]
+               : nullptr;
   }
 };
 
-/// Scans the journal and computes every holder's origin, final wire top and
-/// replay chain, plus the lineage of every Optional condition target. `g1`
-/// is the pre-obfuscation graph.
-HolderTable build_holder_table(const Graph& g1, const Journal& journal);
+/// Scans the journal and computes every holder's origin, final wire top,
+/// replay chain and read plan, plus the lineage of every Optional condition
+/// target. `g1` is the pre-obfuscation graph, `wire` the final one (`g1`
+/// again, with an empty journal, for G1's own table). Fails when a plan
+/// cannot model its chain, e.g. a TabSplit in it.
+Expected<HolderTable> build_holder_table(const Graph& g1, const Graph& wire,
+                                         const Journal& journal);
 
 /// The journal indexed by owning G1 node.
 ///

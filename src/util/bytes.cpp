@@ -139,7 +139,7 @@ Bytes zip_bytes(BytesView a, BytesView b, Op op) {
 }
 
 template <typename Op>
-void zip_key_in(Bytes& data, BytesView key, Op op) {
+void zip_key_in(std::span<Byte> data, BytesView key, Op op) {
   assert(!key.empty());
   for (std::size_t i = 0; i < data.size(); ++i) {
     data[i] = static_cast<Byte>(op(data[i], key[i % key.size()]));
@@ -190,15 +190,15 @@ Bytes xor_key(BytesView a, BytesView key) {
   return zip_key(a, key, [](unsigned x, unsigned y) { return x ^ y; });
 }
 
-void add_key_in(Bytes& data, BytesView key) {
+void add_key_in(std::span<Byte> data, BytesView key) {
   zip_key_in(data, key, [](unsigned x, unsigned y) { return x + y; });
 }
 
-void sub_key_in(Bytes& data, BytesView key) {
+void sub_key_in(std::span<Byte> data, BytesView key) {
   zip_key_in(data, key, [](unsigned x, unsigned y) { return x - y; });
 }
 
-void xor_key_in(Bytes& data, BytesView key) {
+void xor_key_in(std::span<Byte> data, BytesView key) {
   zip_key_in(data, key, [](unsigned x, unsigned y) { return x ^ y; });
 }
 

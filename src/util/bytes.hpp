@@ -93,9 +93,9 @@ Bytes sub_key(BytesView a, BytesView key);
 Bytes xor_key(BytesView a, BytesView key);
 
 /// In-place key combination on `data` itself (no allocation at all).
-void add_key_in(Bytes& data, BytesView key);
-void sub_key_in(Bytes& data, BytesView key);
-void xor_key_in(Bytes& data, BytesView key);
+void add_key_in(std::span<Byte> data, BytesView key);
+void sub_key_in(std::span<Byte> data, BytesView key);
+void xor_key_in(std::span<Byte> data, BytesView key);
 
 /// Big-endian encoding of `value` into exactly `width` bytes (width <= 8).
 /// Values wider than the field wrap (mod 2^(8*width)).

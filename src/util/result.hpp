@@ -1,13 +1,14 @@
 // Minimal expected/status vocabulary used across the framework.
 //
-// The C++20 toolchain in use has no std::expected, so we carry a small,
-// allocation-free equivalent. Errors are descriptive strings plus an
-// optional byte offset (parsers attach the wire position where the failure
-// was detected, which the tests assert on).
+// The C++20 toolchain in use has no std::expected, so we carry a small
+// equivalent whose success paths never allocate. Errors are descriptive
+// strings plus an optional byte offset (parsers attach the wire position
+// where the failure was detected, which the tests assert on).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <variant>
@@ -75,21 +76,29 @@ class Expected {
   std::variant<T, Error> state_;
 };
 
-/// Success-or-error for operations with no payload.
+/// Success-or-error for operations with no payload. A success is one null
+/// pointer, so returning and destroying it builds no Error; copies are deep.
 class Status {
  public:
   Status() = default;
-  Status(Unexpected u) : error_(std::move(u.error)), failed_(true) {}
+  Status(Unexpected u) : error_(std::make_unique<Error>(std::move(u.error))) {}
+  Status(const Status& other)
+      : error_(other.error_ ? std::make_unique<Error>(*other.error_)
+                            : nullptr) {}
+  Status(Status&&) noexcept = default;
+  Status& operator=(const Status& other) { return *this = Status(other); }
+  Status& operator=(Status&&) noexcept = default;
 
-  bool ok() const { return !failed_; }
+  bool ok() const { return error_ == nullptr; }
   explicit operator bool() const { return ok(); }
-  const Error& error() const { return error_; }
+  /// The failure; an empty Error on success.
+  const Error& error() const { return error_ ? *error_ : kNoError; }
 
   static Status success() { return Status(); }
 
  private:
-  Error error_;
-  bool failed_ = false;
+  static inline const Error kNoError{};
+  std::unique_ptr<Error> error_;
 };
 
 }  // namespace protoobf

@@ -25,7 +25,9 @@
 #include "core/protoobf.hpp"
 #include "protocols/http.hpp"
 #include "protocols/modbus.hpp"
+#include "runtime/derive.hpp"
 #include "runtime/emit.hpp"
+#include "runtime/parse.hpp"
 #include "session/session.hpp"
 
 namespace protoobf {
@@ -197,6 +199,58 @@ INSTANTIATE_TEST_SUITE_P(Protocols, AllocSteadyState, ::testing::Bool(),
                            return info.param ? "Http" : "Modbus";
                          });
 
+// --- reference reads copy no node --------------------------------------------
+
+class NoCopyReads : public ::testing::TestWithParam<bool> {};
+
+TEST_P(NoCopyReads, ParseAndHolderChecksDrawOnlyTreeNodes) {
+  // Reading a length, count or condition runs its read plan over the
+  // parsed bytes, so parse_wire draws exactly one pool node per node of
+  // the tree it returns; and fix_holders on a tree whose holders already
+  // carry their values (a parsed wire tree) rebuilds nothing.
+  const bool http = GetParam();
+  const Graph g1 =
+      Framework::load_spec(http ? http::request_spec() : modbus::request_spec())
+          .value();
+  const ObfuscatedProtocol protocol =
+      Framework::generate(g1, config_of(2018, http ? 4 : 2)).value();
+
+  Rng rng(2018);
+  InstPool pool;
+  BufferPool buffers;
+  DeriveScratch derive;
+  const auto drawn = [&] { return pool.stats().hits + pool.stats().misses; };
+  std::size_t tree_nodes = 0, parse_nodes = 0, fix_nodes = 0;
+  for (std::size_t i = 0; i < 50; ++i) {
+    Message msg = http ? http::random_request(g1, rng)
+                       : modbus::random_request(g1, rng);
+    auto wire = protocol.serialize(msg.root(), msg_seed_of(i));
+    ASSERT_TRUE(wire.ok()) << wire.error().message;
+
+    const std::size_t before_parse = drawn();
+    auto tree = parse_wire(protocol.wire_graph(), protocol.journal(),
+                           protocol.holders(), *wire, &buffers, nullptr,
+                           &pool);
+    ASSERT_TRUE(tree.ok()) << tree.error().message;
+    parse_nodes += drawn() - before_parse;
+    tree_nodes += ast::count(**tree);
+
+    const std::size_t before_fix = drawn();
+    ASSERT_TRUE(fix_holders(protocol.wire_graph(), protocol.journal(),
+                            protocol.holders(), **tree, msg_seed_of(i), &pool,
+                            nullptr, &derive)
+                    .ok());
+    fix_nodes += drawn() - before_fix;
+  }
+  EXPECT_EQ(parse_nodes, tree_nodes);
+  EXPECT_EQ(fix_nodes, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Protocols, NoCopyReads, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "HttpPn4" : "ModbusPn2";
+                         });
+
 // --- counting emitter -------------------------------------------------------
 
 TEST(CountingEmitter, MatchesMaterializedSizeOnWireTrees) {
@@ -227,7 +281,7 @@ TEST(CountingEmitter, MatchesMaterializedSizeOnWireTrees) {
         auto wire = protocol->serialize(msg.root(), msg_seed_of(i));
         ASSERT_TRUE(wire.ok()) << wire.error().message;
         // Wire image size must equal what the counting emitter would have
-        // predicted for the transformed tree — serialize's own fixpoints
+        // predicted for the transformed tree — serialize's own holder pass
         // already relied on it, so a mismatch would have failed above, but
         // pin the round number explicitly.
         EXPECT_GT(wire->size(), 0u);
@@ -239,7 +293,7 @@ TEST(CountingEmitter, MatchesMaterializedSizeOnWireTrees) {
 TEST(CountingEmitter, MirroredWireTreesRoundTrip) {
   // ReadFromEnd is the hard case for the counting emitter's streaming
   // validation (reversed regions, delimiters fed backwards). Force it on
-  // every node and verify the serialize fixpoints — which lean on
+  // every node and verify the serialize holder pass — which leans on
   // emitted_size against the mirrored wire tree — still produce
   // parseable images.
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {

@@ -353,7 +353,7 @@ m: seq end {
   const NodeId half_b = journal[1].created_b;
   journal.push_back(*try_apply(ctx, TransformKind::ConstAdd, half_b));
 
-  const HolderTable table = build_holder_table(g1, journal);
+  const HolderTable table = build_holder_table(g1, g, journal).value();
   ASSERT_EQ(table.holders.size(), 1u);
   const HolderInfo& info = table.holders[0];
   EXPECT_EQ(info.origin, len);
@@ -386,7 +386,7 @@ m: seq end {
   Journal journal;
   journal.push_back(
       *try_apply(ctx, TransformKind::RepSplit, g.find_by_name("rep").value()));
-  const HolderTable table = build_holder_table(g1, journal);
+  const HolderTable table = build_holder_table(g1, g, journal).value();
   ASSERT_EQ(table.holders.size(), 1u);
   EXPECT_EQ(table.holders[0].origin, journal[0].created_a);
   EXPECT_TRUE(table.holders[0].chain.empty());
