@@ -11,16 +11,18 @@
 //              canonicalize, check
 //
 // for HTTP and Modbus requests at per_node 0, 2 and 4, with the journal
-// size J and the wire-graph node count on each row. Each row is the best of
-// five windows per stage, and every stage includes one clock read (about
-// 20 ns on a typical x86 host). Before timing, each workload checks that
-// the staged pipeline emits the very bytes serialize_into emits and parses
-// to the tree parse() returns, so the bench cannot drift from the real
-// path unnoticed.
+// size J, the number of resolved ops the journal compiles to (`ops`: J
+// less the dropped ReadFromEnd entries) and the wire-graph node count on
+// each row. Each row is the best of five windows per stage, and every
+// stage includes one clock read (about 20 ns on a typical x86 host).
+// Before timing, each workload checks that the staged pipeline emits the
+// very bytes serialize_into emits and parses to the tree parse() returns,
+// so the bench cannot drift from the real path unnoticed.
 //
 // The last line is the ratio CI guards: HTTP per_node 4 over per_node 0,
-// serialize plus parse, within this run. Replay that is O(N + J) keeps it
-// at about 12-14 on a 4-core x86 VM; O(J × N) replay reads about 40-64.
+// serialize plus parse, within this run. The resolved op lists keep it at
+// about 8-12 on a 4-core x86 VM (the owner-bounded walks they replaced
+// read about 12-14, O(J × N) replay about 40-64).
 //
 // Usage: bench_pipeline [messages] [json_path]
 // Writes BENCH_pipeline.json (or json_path).
@@ -58,6 +60,7 @@ struct Row {
   std::string workload;
   int per_node = 0;
   std::size_t journal = 0;
+  std::size_t ops = 0;
   std::size_t wire_nodes = 0;
   StageNs<kSerializeStages.size()> serialize{};
   StageNs<kParseStages.size()> parse{};
@@ -189,6 +192,7 @@ bool measure(const bench::Workload& workload, int per_node,
   row.workload = workload.name;
   row.per_node = per_node;
   row.journal = p.journal().size();
+  row.ops = p.program().ops.size();
   row.wire_nodes = p.wire_graph().size();
 
   Rng rng(7);
@@ -245,15 +249,16 @@ bool measure(const bench::Workload& workload, int per_node,
 
 template <std::size_t N>
 void print_row(const char* op, const Row& row, const StageNs<N>& stages) {
-  std::printf("%-10s %-11s %2d %4zu %6zu", op, row.workload.c_str(),
-              row.per_node, row.journal, row.wire_nodes);
+  std::printf("%-10s %-11s %2d %4zu %4zu %6zu", op, row.workload.c_str(),
+              row.per_node, row.journal, row.ops, row.wire_nodes);
   for (double ns : stages) std::printf(" %12.0f", ns);
   std::printf(" %12.0f\n", total(stages));
 }
 
 template <std::size_t N>
 void print_header(const char* op, const std::array<const char*, N>& names) {
-  std::printf("%-10s %-11s %2s %4s %6s", op, "workload", "pn", "J", "nodes");
+  std::printf("%-10s %-11s %2s %4s %4s %6s", op, "workload", "pn", "J", "ops",
+              "nodes");
   for (const char* name : names) std::printf(" %12s", name);
   std::printf(" %12s\n", "total");
 }
@@ -321,9 +326,9 @@ int main(int argc, char** argv) {
     const Row& row = rows[i];
     std::fprintf(f,
                  "    {\"workload\": \"%s\", \"per_node\": %d, "
-                 "\"journal\": %zu, \"wire_nodes\": %zu,\n"
+                 "\"journal\": %zu, \"ops\": %zu, \"wire_nodes\": %zu,\n"
                  "     \"serialize\": ",
-                 row.workload.c_str(), row.per_node, row.journal,
+                 row.workload.c_str(), row.per_node, row.journal, row.ops,
                  row.wire_nodes);
     write_stages(f, kSerializeStages, row.serialize);
     std::fprintf(f, ",\n     \"parse\": ");

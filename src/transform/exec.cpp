@@ -1,6 +1,7 @@
 #include "transform/exec.hpp"
 
 #include <algorithm>
+#include <span>
 
 namespace protoobf {
 
@@ -160,6 +161,9 @@ Status forward_group_split(InstPtr& p, const AppliedTransform& e,
     if (element->children.size() < 2) {
       return exec_fail(e, "element with fewer than two children");
     }
+    if (rest_node == kNoNode && element->children.size() != 2) {
+      return exec_fail(e, "element of more than two children and no rest");
+    }
     firsts->children.push_back(std::move(element->children[0]));
     if (rest_node == kNoNode) {
       seconds->children.push_back(std::move(element->children[1]));
@@ -229,25 +233,116 @@ Status forward_child_move(Inst& p, const AppliedTransform& e) {
   return Status::success();
 }
 
-// --- generic traversal ------------------------------------------------------
+// --- one dispatch -----------------------------------------------------------
+//
+// Both executors apply an entry at one matched instance through these: the
+// sequential one after a for_each_match walk, the compiled one at the end
+// of an op's resolved path.
+
+Status apply_forward(InstPtr& p, const AppliedTransform& e, Rng& rng,
+                     InstPool* pool) {
+  switch (e.kind) {
+    case TransformKind::SplitAdd:
+    case TransformKind::SplitSub:
+    case TransformKind::SplitXor:
+    case TransformKind::SplitCat:
+      return forward_split(p, e, rng, pool);
+    case TransformKind::ConstAdd:
+    case TransformKind::ConstSub:
+    case TransformKind::ConstXor:
+      forward_const(*p, e);
+      return Status::success();
+    case TransformKind::BoundaryChange:
+      return forward_boundary_change(p, e, pool);
+    case TransformKind::PadInsert:
+      return forward_pad(*p, e, rng, pool);
+    case TransformKind::ReadFromEnd:
+      return Status::success();  // handled at emission/parse time
+    case TransformKind::TabSplit:
+      return forward_group_split(p, e, kNoNode, e.created_a, e.created_b,
+                                 e.created_c, pool);
+    case TransformKind::RepSplit:
+      return forward_group_split(p, e, e.created_a, e.created_b, e.created_c,
+                                 e.created_d, pool);
+    case TransformKind::ChildMove:
+      return forward_child_move(*p, e);
+  }
+  return Status::success();
+}
+
+Status apply_inverse(InstPtr& p, const AppliedTransform& e, InstPool* pool) {
+  switch (e.kind) {
+    case TransformKind::SplitAdd:
+    case TransformKind::SplitSub:
+    case TransformKind::SplitXor:
+    case TransformKind::SplitCat:
+      return inverse_split(p, e, pool);
+    case TransformKind::ConstAdd:
+    case TransformKind::ConstSub:
+    case TransformKind::ConstXor:
+      inverse_const(p->value, e);
+      return Status::success();
+    case TransformKind::BoundaryChange:
+      return inverse_boundary_change(p, e);
+    case TransformKind::PadInsert:
+      return inverse_pad(*p, e);
+    case TransformKind::ReadFromEnd:
+      return Status::success();
+    case TransformKind::TabSplit:
+      return inverse_group_split(p, e, /*has_cnt=*/false, e.created_c, pool);
+    case TransformKind::RepSplit:
+      return inverse_group_split(p, e, /*has_cnt=*/true, e.created_d, pool);
+    case TransformKind::ChildMove:
+      return forward_child_move(*p, e);  // swap is its own inverse
+  }
+  return Status::success();
+}
 
 /// Applies `op` at each instance whose schema equals `match`, bottom-first
 /// is not needed: an instance of `match` can never nest inside another one.
-/// The walk never descends through a node `bound` does not admit.
 template <typename Op>
-Status for_each_match(InstPtr& p, NodeId match, WalkBound bound, Op&& op) {
+Status for_each_match(InstPtr& p, NodeId match, Op&& op) {
   if (p->schema == match) return op(p);
-  if (!p->present || !bound.admits(p->schema)) return Status::success();
+  if (!p->present) return Status::success();
   for (InstPtr& child : p->children) {
-    if (Status s = for_each_match(child, match, bound, op); !s) return s;
+    if (Status s = for_each_match(child, match, op); !s) return s;
   }
   return Status::success();
 }
 
 // --- compiled passes --------------------------------------------------------
 
-/// Post-order: the children's programs run first, so a TabSplit/RepSplit
-/// at this node finds its elements already transformed.
+/// Applies `op` at every instance `path` leads to from `p`: a child index
+/// steps into that child, kEach into every element. Descending through an
+/// absent node reaches nothing, as in for_each_match; the node reached must
+/// be `site`, or the op fails naming journal entry `entry`.
+template <typename Op>
+Status along(InstPtr* p, std::span<const std::uint32_t> path, NodeId site,
+             std::uint32_t entry, const Op& op) {
+  for (; !path.empty(); path = path.subspan(1)) {
+    Inst& node = **p;
+    if (!node.present) return Status::success();
+    if (path[0] == JournalProgram::kEach) {
+      for (InstPtr& element : node.children) {
+        if (Status s = along(&element, path.subspan(1), site, entry, op); !s) {
+          return s;
+        }
+      }
+      return Status::success();
+    }
+    if (path[0] >= node.children.size()) break;
+    p = &node.children[path[0]];
+  }
+  if (!path.empty() || (*p)->schema != site) {
+    return Unexpected("journal entry " + std::to_string(entry) +
+                      ": no node " + std::to_string(site) +
+                      " at its resolved path");
+  }
+  return op(*p);
+}
+
+/// Post-order: the children's ops run first, so a TabSplit/RepSplit at
+/// this node finds its elements already transformed.
 Status forward_node(InstPtr& slot, const JournalProgram& program,
                     const Journal& journal, EntryStreams& streams,
                     InstPool* pool) {
@@ -258,11 +353,13 @@ Status forward_node(InstPtr& slot, const JournalProgram& program,
       }
     }
   }
-  const NodeId node = slot->schema;
-  const WalkBound bound{&program, node};
-  for (const std::uint32_t index : program.entries(node)) {
-    if (Status s =
-            forward_entry(slot, journal[index], streams[index], pool, bound);
+  for (const JournalProgram::Op& op : program.ops_of(slot->schema)) {
+    const AppliedTransform& e = journal[op.entry];
+    Rng& rng = streams[op.entry];
+    if (Status s = along(&slot, program.path(op.forward), e.target, op.entry,
+                         [&](InstPtr& p) {
+                           return apply_forward(p, e, rng, pool);
+                         });
         !s) {
       return s;
     }
@@ -274,11 +371,13 @@ Status forward_node(InstPtr& slot, const JournalProgram& program,
 /// instance first, whose children are then the tops of their own regions.
 Status inverse_node(InstPtr& slot, const JournalProgram& program,
                     const Journal& journal, InstPool* pool) {
-  const NodeId owner = program.owner_of(slot->schema);
-  const auto entries = program.entries(owner);
-  const WalkBound bound{&program, owner};
-  for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
-    if (Status s = inverse_entry(slot, journal[*it], pool, bound); !s) {
+  const auto ops = program.ops_of(program.owner_of(slot->schema));
+  for (auto op = ops.rbegin(); op != ops.rend(); ++op) {
+    const AppliedTransform& e = journal[op->entry];
+    if (Status s = along(&slot, program.path(op->inverse), inverse_site(e),
+                         op->entry,
+                         [&](InstPtr& p) { return apply_inverse(p, e, pool); });
+        !s) {
       return s;
     }
   }
@@ -361,93 +460,19 @@ void EntryStreams::reset(std::uint64_t msg_seed, std::size_t entries) {
 }
 
 Status forward_entry(InstPtr& root, const AppliedTransform& entry, Rng& rng,
-                     InstPool* pool, WalkBound bound) {
-  switch (entry.kind) {
-    case TransformKind::SplitAdd:
-    case TransformKind::SplitSub:
-    case TransformKind::SplitXor:
-    case TransformKind::SplitCat:
-      return for_each_match(root, entry.target, bound, [&](InstPtr& p) {
-        return forward_split(p, entry, rng, pool);
-      });
-    case TransformKind::ConstAdd:
-    case TransformKind::ConstSub:
-    case TransformKind::ConstXor:
-      return for_each_match(root, entry.target, bound, [&](InstPtr& p) {
-        forward_const(*p, entry);
-        return Status::success();
-      });
-    case TransformKind::BoundaryChange:
-      return for_each_match(root, entry.target, bound, [&](InstPtr& p) {
-        return forward_boundary_change(p, entry, pool);
-      });
-    case TransformKind::PadInsert:
-      return for_each_match(root, entry.target, bound, [&](InstPtr& p) {
-        return forward_pad(*p, entry, rng, pool);
-      });
-    case TransformKind::ReadFromEnd:
-      return Status::success();  // handled at emission/parse time
-    case TransformKind::TabSplit:
-      return for_each_match(root, entry.target, bound, [&](InstPtr& p) {
-        return forward_group_split(p, entry, kNoNode, entry.created_a,
-                                   entry.created_b, entry.created_c, pool);
-      });
-    case TransformKind::RepSplit:
-      return for_each_match(root, entry.target, bound, [&](InstPtr& p) {
-        return forward_group_split(p, entry, entry.created_a, entry.created_b,
-                                   entry.created_c, entry.created_d, pool);
-      });
-    case TransformKind::ChildMove:
-      return for_each_match(root, entry.target, bound, [&](InstPtr& p) {
-        return forward_child_move(*p, entry);
-      });
-  }
-  return Status::success();
+                     InstPool* pool) {
+  if (entry.kind == TransformKind::ReadFromEnd) return Status::success();
+  return for_each_match(root, entry.target, [&](InstPtr& p) {
+    return apply_forward(p, entry, rng, pool);
+  });
 }
 
 Status inverse_entry(InstPtr& root, const AppliedTransform& entry,
-                     InstPool* pool, WalkBound bound) {
-  switch (entry.kind) {
-    case TransformKind::SplitAdd:
-    case TransformKind::SplitSub:
-    case TransformKind::SplitXor:
-    case TransformKind::SplitCat:
-      return for_each_match(root, entry.created_seq, bound, [&](InstPtr& p) {
-        return inverse_split(p, entry, pool);
-      });
-    case TransformKind::ConstAdd:
-    case TransformKind::ConstSub:
-    case TransformKind::ConstXor:
-      return for_each_match(root, entry.target, bound, [&](InstPtr& p) {
-        inverse_const(p->value, entry);
-        return Status::success();
-      });
-    case TransformKind::BoundaryChange:
-      return for_each_match(root, entry.created_seq, bound, [&](InstPtr& p) {
-        return inverse_boundary_change(p, entry);
-      });
-    case TransformKind::PadInsert:
-      return for_each_match(root, entry.target, bound, [&](InstPtr& p) {
-        return inverse_pad(*p, entry);
-      });
-    case TransformKind::ReadFromEnd:
-      return Status::success();
-    case TransformKind::TabSplit:
-      return for_each_match(root, entry.created_seq, bound, [&](InstPtr& p) {
-        return inverse_group_split(p, entry, /*has_cnt=*/false,
-                                   entry.created_c, pool);
-      });
-    case TransformKind::RepSplit:
-      return for_each_match(root, entry.created_seq, bound, [&](InstPtr& p) {
-        return inverse_group_split(p, entry, /*has_cnt=*/true,
-                                   entry.created_d, pool);
-      });
-    case TransformKind::ChildMove:
-      return for_each_match(root, entry.target, bound, [&](InstPtr& p) {
-        return forward_child_move(*p, entry);  // swap is its own inverse
-      });
-  }
-  return Status::success();
+                     InstPool* pool) {
+  if (entry.kind == TransformKind::ReadFromEnd) return Status::success();
+  return for_each_match(root, inverse_site(entry), [&](InstPtr& p) {
+    return apply_inverse(p, entry, pool);
+  });
 }
 
 Status forward_all(InstPtr& root, const Journal& journal,

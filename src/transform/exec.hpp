@@ -6,19 +6,24 @@
 // (SplitAdd's X1, pad bytes) is drawn per message and never needs to be
 // recorded: the inverse operations eliminate it.
 //
-// Two executors share the per-entry operations:
+// Two executors share one per-kind apply function per direction:
 //   * the compiled one (forward_program / inverse_program) runs each G1
-//     node's program (transform/lineage.hpp's JournalProgram) at that
-//     node's own instances — one post-order pass to serialize, one
-//     top-down pass to parse, O(N + J) per message;
+//     node's resolved ops (transform/lineage.hpp's JournalProgram) at that
+//     node's own instances, one post-order pass to serialize and one
+//     top-down pass to parse. An op follows its precomputed path from the
+//     node's slot to the instances it acts on, so nothing is searched:
+//     O(N + ops) per message. ReadFromEnd has no op;
 //   * the sequential one (forward_all / inverse_all) replays the journal
-//     entry by entry over the whole tree, O(J × N). It is the reference
-//     the compiled executor is tested against.
+//     entry by entry, each entry searching the whole tree for its target
+//     (for_each_match), O(J × N). It is the reference the compiled
+//     executor is tested against; the holder chains (rerun_chain,
+//     invert_chain) apply entries the same way.
 // Both draw entry i's bytes from its own keyed stream (EntryStreams), so
 // they emit identical wire images.
 //
 // Every operation satisfies inverse(forward(t)) == t by construction
-// (tested exhaustively in tests/transform_test.cpp).
+// (tested exhaustively in tests/transform_test.cpp; the dropped
+// ReadFromEnd in tests/op_list_test.cpp).
 #pragma once
 
 #include <vector>
@@ -52,25 +57,13 @@ class EntryStreams {
   std::vector<Rng> streams_;
 };
 
-/// Confines an entry's match walk to the instances of one owner: the walk
-/// descends only through nodes `program` assigns to `node` and stops at
-/// any other-owned node. The default (no program) walks the whole tree.
-struct WalkBound {
-  const JournalProgram* program = nullptr;
-  NodeId node = kNoNode;
-
-  bool admits(NodeId schema) const {
-    return program == nullptr || program->owner_of(schema) == node;
-  }
-};
-
-/// Applies one τi to every matching instance in the tree.
+/// Applies one τi to every instance of its target in the tree.
 Status forward_entry(InstPtr& root, const AppliedTransform& entry, Rng& rng,
-                     InstPool* pool = nullptr, WalkBound bound = {});
+                     InstPool* pool = nullptr);
 
-/// Applies τi⁻¹ to every matching instance in the tree.
+/// Applies τi⁻¹ to every instance of inverse_site(τi) in the tree.
 Status inverse_entry(InstPtr& root, const AppliedTransform& entry,
-                     InstPool* pool = nullptr, WalkBound bound = {});
+                     InstPool* pool = nullptr);
 
 /// Sequential reference: runs the whole journal forward (τ1 ... τn), entry
 /// i drawing from EntryStreams' stream i for `msg_seed`.
@@ -82,17 +75,20 @@ Status inverse_all(InstPtr& root, const Journal& journal,
                    InstPool* pool = nullptr);
 
 /// Runs the compiled journal forward over a logical (G1) tree in one
-/// post-order pass: a node's program runs at its slot once its children's
-/// have. `streams` must have been reset for the message. Produces the same
-/// tree as forward_all with the same msg_seed; an empty journal returns
-/// without touching the tree.
+/// post-order pass: a node's ops run at its slot once its children's have,
+/// op k drawing from streams[k's entry]. `streams` must have been reset for
+/// the message. Produces the same tree as forward_all with the same
+/// msg_seed; a program without ops returns without touching the tree. An
+/// op whose path does not end at an instance of its target fails, naming
+/// the journal entry.
 Status forward_program(InstPtr& root, const JournalProgram& program,
                        const Journal& journal, EntryStreams& streams,
                        InstPool* pool = nullptr);
 
 /// Inverts the compiled journal over a parsed wire tree in one top-down
-/// pass: each slot has its owner's program inverted (in reverse) before
-/// the pass descends into the slot's children. Same result as inverse_all.
+/// pass: each slot has its owner's ops inverted (in reverse, along their
+/// inverse paths) before the pass descends into the slot's children. Same
+/// result as inverse_all.
 Status inverse_program(InstPtr& root, const JournalProgram& program,
                        const Journal& journal, InstPool* pool = nullptr);
 

@@ -107,4 +107,11 @@ bool changes_size(TransformKind kind);
 /// (and therefore may not appear under a delimiter-scanned region).
 bool randomizes_bytes(TransformKind kind);
 
+/// The node an entry's inverse acts on: created_seq, which only Split*,
+/// BoundaryChange, TabSplit and RepSplit set (they put it in the target's
+/// place), else the target, which every other kind rewrites in place.
+inline NodeId inverse_site(const AppliedTransform& e) {
+  return e.created_seq != kNoNode ? e.created_seq : e.target;
+}
+
 }  // namespace protoobf

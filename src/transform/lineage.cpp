@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <string>
 
+#include "transform/exec.hpp"
+
 namespace protoobf {
 
 namespace {
@@ -132,6 +134,43 @@ Status compile_read_plan(HolderInfo& info, const Graph& wire,
   return Status::success();
 }
 
+/// One instance of G1 node `slot->schema` and of everything below it: one
+/// element per Repetition/Tabular, Fixed terminals at their size.
+/// `slots[id]` receives the link that holds node id's instance.
+void build_skeleton(const Graph& g1, InstPtr& slot,
+                    std::vector<InstPtr*>& slots, InstPool* pool) {
+  const Node& n = g1.node(slot->schema);
+  slots[slot->schema] = &slot;
+  if (n.type == NodeType::Terminal) slot->value.assign(n.fixed_size, 0);
+  slot->children.reserve(n.children.size());  // the links must stay put
+  for (const NodeId child : n.children) {
+    slot->children.push_back(ast::make(pool, child));
+    build_skeleton(g1, slot->children.back(), slots, pool);
+  }
+}
+
+/// The link below `p` that holds the instance of `site`, descending only
+/// through `owner`'s nodes; the steps there are appended to `steps`, kEach
+/// under a Repetition/Tabular. Null when there is none.
+InstPtr* find_site(InstPtr& p, NodeId site, NodeId owner,
+                   const JournalProgram& program, const Graph& wire,
+                   std::vector<std::uint32_t>& steps) {
+  if (p->schema == site) return &p;
+  if (program.owner_of(p->schema) != owner) return nullptr;
+  const NodeType type = wire.node(p->schema).type;
+  const bool each = type == NodeType::Repetition || type == NodeType::Tabular;
+  for (std::size_t k = 0; k < p->children.size(); ++k) {
+    steps.push_back(each ? JournalProgram::kEach
+                         : static_cast<std::uint32_t>(k));
+    if (InstPtr* found =
+            find_site(p->children[k], site, owner, program, wire, steps)) {
+      return found;
+    }
+    steps.pop_back();
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 Expected<HolderTable> build_holder_table(const Graph& g1, const Graph& wire,
@@ -196,7 +235,7 @@ Expected<JournalProgram> compile_program(const Graph& g1, const Graph& wire,
     return id == kNoNode || id < arena;
   };
   std::vector<NodeId> created;
-  std::vector<std::uint32_t> count(g1_arena + 1, 0);
+  std::vector<std::vector<std::uint32_t>> owned(g1_arena);  // ascending
   for (std::size_t i = 0; i < journal.size(); ++i) {
     const AppliedTransform& e = journal[i];
     if (static_cast<std::size_t>(e.kind) >= kTransformKindCount) {
@@ -251,16 +290,53 @@ Expected<JournalProgram> compile_program(const Graph& g1, const Graph& wire,
       default:
         break;
     }
-    ++count[owner + 1];
+    owned[owner].push_back(static_cast<std::uint32_t>(i));
   }
 
-  // Counting sort by owner keeps each node's indices ascending.
-  for (std::size_t x = 0; x < g1_arena; ++x) count[x + 1] += count[x];
-  program.start = count;
-  program.indices.resize(journal.size());
-  for (std::size_t i = 0; i < journal.size(); ++i) {
-    const NodeId owner = program.owner[journal[i].target];
-    program.indices[count[owner]++] = static_cast<std::uint32_t>(i);
+  // Resolve the ops by running the entries forward over a skeleton message
+  // in run order: owners children first (reverse pre-order over G1), each
+  // owner's entries ascending. The skeleton holds one instance of every
+  // node, so each entry finds its target at one path.
+  std::vector<InstPtr*> slots(g1_arena, nullptr);
+  InstPool pool;
+  InstPtr skeleton = ast::make(&pool, g1.root());
+  build_skeleton(g1, skeleton, slots, &pool);
+  Rng rng(0);  // the skeleton's bytes are never read
+  const auto path_from = [&](std::size_t at) {
+    return JournalProgram::Path{
+        static_cast<std::uint32_t>(at),
+        static_cast<std::uint32_t>(program.steps.size() - at)};
+  };
+  std::vector<std::vector<JournalProgram::Op>> ops(g1_arena);
+  const std::vector<NodeId> order = g1.dfs_order();
+  for (auto x = order.rbegin(); x != order.rend(); ++x) {
+    InstPtr& slot = *slots[*x];
+    for (const std::uint32_t i : owned[*x]) {
+      const AppliedTransform& e = journal[i];
+      if (e.kind == TransformKind::ReadFromEnd) continue;
+      const std::size_t at = program.steps.size();
+      InstPtr* target =
+          find_site(slot, e.target, *x, program, wire, program.steps);
+      if (target == nullptr) {
+        return entry_fail(i, "target is not inside its owner's region");
+      }
+      const JournalProgram::Path forward = path_from(at);
+      if (Status s = forward_entry(*target, e, rng, &pool); !s) {
+        return entry_fail(i, s.error().message);
+      }
+      const std::size_t inverse_at = program.steps.size();
+      if (!find_site(slot, inverse_site(e), *x, program, wire, program.steps)) {
+        return entry_fail(i, "no inverse site after the entry ran");
+      }
+      ops[*x].push_back({i, forward, path_from(inverse_at)});
+    }
+  }
+
+  program.first.assign(g1_arena + 1, 0);
+  for (std::size_t x = 0; x < g1_arena; ++x) {
+    program.first[x + 1] =
+        program.first[x] + static_cast<std::uint32_t>(ops[x].size());
+    program.ops.insert(program.ops.end(), ops[x].begin(), ops[x].end());
   }
   return program;
 }

@@ -20,10 +20,11 @@
 // parser to read lengths, counts and presence conditions.
 //
 // The same created-ids propagation also compiles the whole journal into
-// per-node programs (JournalProgram): every wire node is owned by the G1
-// node whose transformations created it, so each G1 node's transformations
-// can run at that node's own instances, the way the paper's generated
-// library applies them inside each node's serialize and parse functions.
+// per-node lists of resolved ops (JournalProgram): every wire node is owned
+// by the G1 node whose transformations created it, so each G1 node's
+// transformations can run at that node's own instances, the way the
+// paper's generated library applies them inside each node's serialize and
+// parse functions, with no search for the target.
 #pragma once
 
 #include <cstddef>
@@ -99,32 +100,58 @@ struct HolderTable {
 Expected<HolderTable> build_holder_table(const Graph& g1, const Graph& wire,
                                          const Journal& journal);
 
-/// The journal indexed by owning G1 node.
+/// The journal compiled into one list of resolved ops per G1 node.
 ///
 /// owner[id] is defined for every wire-arena id: G1 ids own themselves and
-/// the ids an entry creates inherit the owner of its target. An entry
-/// belongs to the owner of its target, so entries(X) lists, ascending, the
-/// journal indices that transform G1 node X or the structure X's own
-/// transformations created. Entries of different owners commute, except
-/// that TabSplit/RepSplit consume their element node, whose own entries all
-/// come earlier: running each node's entries after its children's
-/// (serialize) and before them (parse) respects exactly that order.
+/// the ids an entry creates inherit the owner of its target. G1 node X's
+/// ops are the entries that transform X or the structure X's entries made.
+/// Each op stores two paths from X's slot (the link holding X's instance,
+/// or what an entry put there), through X's own nodes only: `forward` to
+/// the target before the entry runs, `inverse` to inverse_site() after it
+/// ran. A step is a child index, or kEach under a Repetition/Tabular (the
+/// G1 ones and TabSplit/RepSplit's halves): every element.
+///
+/// Ops are in run order, which is not journal order: a node's run after all
+/// its descendants' (parse inverts them in reverse, before the
+/// descendants), one owner's in journal order. An element's entries may
+/// come after the TabSplit/RepSplit that consumes the element (HTTP
+/// per_node 4, seed 2018: a ConstSub on the pad of `header` follows the
+/// RepSplit of `headers`), but such entries touch only nodes the split
+/// moves, never the split itself, so children first gives the same tree.
+///
+/// ReadFromEnd emits no op: emission and parse_wire do the mirroring.
 struct JournalProgram {
-  std::vector<NodeId> owner;            // wire id -> G1 owner (kNoNode: none)
-  std::vector<std::uint32_t> start;     // G1 id -> offset into `indices`
-  std::vector<std::uint32_t> indices;   // journal indices grouped by owner
+  static constexpr std::uint32_t kEach = ~std::uint32_t{0};  // fan-out step
 
-  bool empty() const { return indices.empty(); }
+  struct Path {
+    std::uint32_t at = 0, size = 0;  // steps[at, at + size)
+  };
+  struct Op {
+    std::uint32_t entry = 0;  // journal index; forward draws from its
+                              // stream, errors name it
+    Path forward, inverse;
+  };
+
+  std::vector<NodeId> owner;         // wire id -> G1 owner (kNoNode: none)
+  std::vector<std::uint32_t> first;  // G1 id -> its first op in `ops`
+  std::vector<Op> ops;               // grouped by owner, in run order
+  std::vector<std::uint32_t> steps;  // every op's paths
+
+  bool empty() const { return ops.empty(); }
 
   /// Owner of a wire-graph id, kNoNode when no G1 node or entry defines it.
   NodeId owner_of(NodeId id) const {
     return id < owner.size() ? owner[id] : kNoNode;
   }
 
-  /// Ascending journal indices owned by G1 node `node` (empty when none).
-  std::span<const std::uint32_t> entries(NodeId node) const {
-    if (node + std::size_t{1} >= start.size()) return {};
-    return {indices.data() + start[node], indices.data() + start[node + 1]};
+  /// The ops of G1 node `node`, in forward order (empty when none).
+  std::span<const Op> ops_of(NodeId node) const {
+    if (node + std::size_t{1} >= first.size()) return {};
+    return {ops.data() + first[node], ops.data() + first[node + 1]};
+  }
+
+  std::span<const std::uint32_t> path(Path p) const {
+    return {steps.data() + p.at, p.size};
   }
 };
 
@@ -132,7 +159,11 @@ struct JournalProgram {
 /// entry names must be inside the wire arena (or kNoNode where the kind
 /// allows it), every target must exist by its entry (a G1 node, or created
 /// by an earlier entry), every created id must be fresh and claimed once,
-/// and kind-specific parameters must be usable. O(J + arena).
+/// and kind-specific parameters must be usable. The ops are resolved by
+/// running the entries forward over a skeleton message (one instance of
+/// every node), so a target outside its owner's region, or a pad index,
+/// swap index or split element the entry cannot apply, fails here, naming
+/// the entry. O(J × region + arena).
 Expected<JournalProgram> compile_program(const Graph& g1, const Graph& wire,
                                          const Journal& journal);
 

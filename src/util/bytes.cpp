@@ -141,8 +141,11 @@ Bytes zip_bytes(BytesView a, BytesView b, Op op) {
 template <typename Op>
 void zip_key_in(std::span<Byte> data, BytesView key, Op op) {
   assert(!key.empty());
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<Byte>(op(data[i], key[i % key.size()]));
+  // A wrapping key index instead of i % key.size(): no division per byte.
+  std::size_t k = 0;
+  for (Byte& byte : data) {
+    byte = static_cast<Byte>(op(byte, key[k]));
+    if (++k == key.size()) k = 0;
   }
 }
 

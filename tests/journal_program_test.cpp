@@ -1,6 +1,6 @@
 // Differential oracle for the compiled journal (ROADMAP item 4(b)).
 //
-// serialize()/parse() run the journal as per-node programs
+// serialize()/parse() run the journal as per-node lists of resolved ops
 // (forward_program / inverse_program); the sequential executor
 // (forward_all / inverse_all) replays it entry by entry over the whole
 // tree and is the reference. Over every registry spec plus HTTP, at
@@ -13,13 +13,23 @@
 //       accepts, both inverses agree on accept/reject and on the tree;
 //   (d) (a) and (b) hold for a load_artifact(save_artifact(p)) rebuild.
 //
+// Random messages hold one or two elements per Repetition/Tabular, so each
+// protocol also gets edge shapes, rewritten from drawn messages: every
+// Repetition/Tabular at zero elements, every one at three to five, and
+// every condition-driven Optional absent. A last family of hand-built
+// journals acts on every element of a TabSplit/RepSplit half, so the
+// resolved paths' kEach steps run over no elements, a few and many.
+//
 // Reproduction: failures carry the campaign seed; rerun with
 // PROTOOBF_FUZZ_SEED=<seed>.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <span>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "core/protoobf.hpp"
@@ -30,6 +40,7 @@
 #include "runtime/emit.hpp"
 #include "runtime/parse.hpp"
 #include "runtime/persist.hpp"
+#include "transform/apply.hpp"
 #include "transform/exec.hpp"
 
 namespace protoobf {
@@ -41,6 +52,7 @@ constexpr int kMaxAttempts = 64;  // per draw: the generator is best-effort
 
 struct Tally {
   std::size_t cases = 0;
+  std::size_t edge_cases = 0;  // of `cases`: rewritten edge shapes
   std::size_t mutants = 0;  // mutated/truncated wires parse_wire accepted
   std::size_t mismatches = 0;
   std::string first;
@@ -87,91 +99,246 @@ Bytes forward(const ObfuscatedProtocol& q, const Inst& canonical,
   return wire;
 }
 
+/// Checks (a)-(d) on one serializable message. `served` is what
+/// serialize() emitted for it with `msg_seed`.
+void check_case(const ObfuscatedProtocol& p, const ObfuscatedProtocol& rebuilt,
+                const Inst& message, const Bytes& served,
+                std::uint64_t msg_seed, Rng& rng, const std::string& where,
+                Tally& tally) {
+  ++tally.cases;
+
+  // (a) and (d): forward trees and wires agree, and match what
+  // serialize() emitted.
+  InstPtr seq_tree, prog_tree, rebuilt_tree;
+  const Bytes wire = forward(p, message, msg_seed, true, seq_tree);
+  const Bytes prog_wire = forward(p, message, msg_seed, false, prog_tree);
+  const Bytes rebuilt_wire =
+      forward(rebuilt, message, msg_seed, false, rebuilt_tree);
+  if (wire.empty() || prog_wire.empty() || rebuilt_wire.empty()) {
+    tally.mismatch(where + ": an executor failed forward");
+    return;
+  }
+  if (!ast::equal(*seq_tree, *prog_tree) ||
+      !ast::equal(*seq_tree, *rebuilt_tree)) {
+    tally.mismatch(where + ": forward trees differ");
+    return;
+  }
+  if (prog_wire != wire || rebuilt_wire != wire || served != wire) {
+    tally.mismatch(where + ": emitted wires differ");
+    return;
+  }
+
+  // (b) and (d): the programs invert the parsed wire tree to the
+  // sequential executor's result.
+  auto parsed = parse_wire(p.wire_graph(), p.journal(), p.holders(), wire);
+  auto reparsed = parse_wire(rebuilt.wire_graph(), rebuilt.journal(),
+                             rebuilt.holders(), wire);
+  if (!parsed || !reparsed) {
+    tally.mismatch(where + ": parse_wire rejected a valid wire");
+    return;
+  }
+  InstPtr seq_logical = ast::clone(**parsed);
+  if (!inverse_all(seq_logical, p.journal()) ||
+      !inverse_program(*parsed, p.program(), p.journal()) ||
+      !inverse_program(*reparsed, rebuilt.program(), rebuilt.journal())) {
+    tally.mismatch(where + ": an executor failed to invert a valid wire");
+    return;
+  }
+  if (!ast::equal(*seq_logical, **parsed) ||
+      !ast::equal(*seq_logical, **reparsed)) {
+    tally.mismatch(where + ": inverses differ on a valid wire");
+    return;
+  }
+
+  // (c): a 1-byte mutation and a truncation.
+  Bytes mutated = wire;
+  mutated[rng.below(mutated.size())] ^= static_cast<Byte>(1 + rng.below(255));
+  const BytesView truncated =
+      BytesView(wire).first(static_cast<std::size_t>(rng.below(wire.size())));
+  for (const BytesView input : {BytesView(mutated), truncated}) {
+    auto damaged = parse_wire(p.wire_graph(), p.journal(), p.holders(), input);
+    if (!damaged) continue;
+    ++tally.mutants;
+    if (!inverses_agree(p, **damaged)) {
+      tally.mismatch(where + ": inverses differ on a damaged wire " +
+                     to_hex(input));
+    }
+  }
+}
+
+/// Draws messages until `rewrite` turns one into a message serialize()
+/// accepts, then checks it. `rewrite` may leave the draw as it is.
+template <typename Rewrite>
+void check_drawn(const ObfuscatedProtocol& p,
+                 const ObfuscatedProtocol& rebuilt, Rng& rng,
+                 const std::string& where, Tally& tally, Rewrite&& rewrite) {
+  const std::uint64_t msg_seed = rng.next_u64();
+  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
+    InstPtr message = fuzz::random_message(p.original(), rng);
+    rewrite(*message);
+    auto wire = p.serialize(*message, msg_seed);
+    if (wire && p.canonicalize(*message).ok()) {
+      check_case(p, rebuilt, *message, *wire, msg_seed, rng, where, tally);
+      return;
+    }
+  }
+  tally.mismatch(where + ": no serializable message drawn");
+}
+
+/// Every Repetition/Tabular under `inst` at zero elements (`many` false)
+/// or at three to five, the added elements fresh draws.
+void resize_repetitions(const Graph& g, Inst& inst, bool many, Rng& rng,
+                        const std::unordered_set<NodeId>& derived) {
+  if (!inst.present) return;
+  const Node& n = g.node(inst.schema);
+  if (n.type == NodeType::Repetition || n.type == NodeType::Tabular) {
+    if (!many) {
+      inst.children.clear();
+      return;
+    }
+    const std::size_t count = 3 + rng.below(3);
+    while (inst.children.size() < count) {
+      std::unordered_map<NodeId, const Inst*> built;
+      inst.children.push_back(
+          fuzz::random_instance(g, n.children[0], rng, derived, built));
+    }
+  }
+  for (InstPtr& child : inst.children) {
+    resize_repetitions(g, *child, many, rng, derived);
+  }
+}
+
+/// Sets `value` so that `condition` rejects it; false when no candidate
+/// (all zeros, then the first byte stepped through 256 values) does.
+bool falsify(const Condition& condition, Bytes& value) {
+  if (!condition.evaluate(value)) return true;
+  const Bytes zeros(value.size(), 0);
+  if (!condition.evaluate(zeros)) {
+    value = zeros;
+    return true;
+  }
+  for (int k = 0; k < 256 && !value.empty(); ++k) {
+    ++value[0];
+    if (!condition.evaluate(value)) return true;
+  }
+  return false;
+}
+
+/// Every condition-driven Optional under `inst` absent, the field its
+/// condition reads (the latest instance before it, as random_instance
+/// resolves it) set to a value the condition rejects.
+void drop_optionals(const Graph& g, Inst& inst,
+                    std::unordered_map<NodeId, Inst*>& seen) {
+  const Node& n = g.node(inst.schema);
+  if (n.type == NodeType::Optional &&
+      n.condition.kind != Condition::Kind::Always) {
+    const auto ref = seen.find(n.condition.ref);
+    if (ref != seen.end() && !g.node(n.condition.ref).has_const &&
+        falsify(n.condition, ref->second->value)) {
+      inst.present = false;
+      inst.children.clear();
+    }
+  }
+  seen[inst.schema] = &inst;
+  if (!inst.present) return;
+  for (InstPtr& child : inst.children) drop_optionals(g, *child, seen);
+}
+
 /// `rebuilt` is p reloaded from its artifact: its program must agree with
-/// p's sequential executor just as p's own program does.
+/// p's sequential executor just as p's own program does. `edge_rng` draws
+/// the edge shapes, so the plain draws do not depend on them.
 void check_protocol(const ObfuscatedProtocol& p,
-                    const ObfuscatedProtocol& rebuilt, Rng& rng,
+                    const ObfuscatedProtocol& rebuilt, Rng& rng, Rng& edge_rng,
                     const std::string& label, Tally& tally) {
   for (int draw = 0; draw < kDraws; ++draw) {
-    const std::uint64_t msg_seed = rng.next_u64();
-    InstPtr message;
-    Bytes served;
-    for (int attempt = 0; attempt < kMaxAttempts && message == nullptr;
-         ++attempt) {
-      InstPtr candidate = fuzz::random_message(p.original(), rng);
-      auto wire = p.serialize(*candidate, msg_seed);
-      if (wire && p.canonicalize(*candidate).ok()) {
-        message = std::move(candidate);
-        served = std::move(*wire);
-      }
-    }
-    const std::string where = label + " draw " + std::to_string(draw);
-    if (message == nullptr) {
-      tally.mismatch(where + ": no serializable message drawn");
-      continue;
-    }
-    ++tally.cases;
+    check_drawn(p, rebuilt, rng, label + " draw " + std::to_string(draw),
+                tally, [](Inst&) {});
+  }
 
-    // (a) and (d): forward trees and wires agree, and match what
-    // serialize() emitted.
-    InstPtr seq_tree, prog_tree, rebuilt_tree;
-    const Bytes wire = forward(p, *message, msg_seed, true, seq_tree);
-    const Bytes prog_wire = forward(p, *message, msg_seed, false, prog_tree);
-    const Bytes rebuilt_wire =
-        forward(rebuilt, *message, msg_seed, false, rebuilt_tree);
-    if (wire.empty() || prog_wire.empty() || rebuilt_wire.empty()) {
-      tally.mismatch(where + ": an executor failed forward");
-      continue;
-    }
-    if (!ast::equal(*seq_tree, *prog_tree) ||
-        !ast::equal(*seq_tree, *rebuilt_tree)) {
-      tally.mismatch(where + ": forward trees differ");
-      continue;
-    }
-    if (prog_wire != wire || rebuilt_wire != wire || served != wire) {
-      tally.mismatch(where + ": emitted wires differ");
-      continue;
-    }
+  const Graph& g = p.original();
+  const std::unordered_set<NodeId> derived = fuzz::derived_nodes(g);
+  const std::size_t before = tally.cases;
+  for (const bool many : {false, true}) {
+    check_drawn(p, rebuilt, edge_rng,
+                label + (many ? " many elements" : " no elements"), tally,
+                [&](Inst& message) {
+                  resize_repetitions(g, message, many, edge_rng, derived);
+                });
+  }
+  check_drawn(p, rebuilt, edge_rng, label + " optionals absent", tally,
+              [&](Inst& message) {
+                std::unordered_map<NodeId, Inst*> seen;
+                drop_optionals(g, message, seen);
+              });
+  tally.edge_cases += tally.cases - before;
+}
 
-    // (b) and (d): the programs invert the parsed wire tree to the
-    // sequential executor's result.
-    auto parsed = parse_wire(p.wire_graph(), p.journal(), p.holders(), wire);
-    auto reparsed = parse_wire(rebuilt.wire_graph(), rebuilt.journal(),
-                               rebuilt.holders(), wire);
-    if (!parsed || !reparsed) {
-      tally.mismatch(where + ": parse_wire rejected a valid wire");
-      continue;
+constexpr std::string_view kFanOutSpec = R"(
+protocol FanOut
+m: seq end {
+  n: terminal fixed(1)
+  rows: tabular(n) {
+    row: seq {
+      a: terminal fixed(1)
+      b: terminal fixed(2)
+      c: terminal fixed(2)
     }
-    InstPtr seq_logical = ast::clone(**parsed);
-    if (!inverse_all(seq_logical, p.journal()) ||
-        !inverse_program(*parsed, p.program(), p.journal()) ||
-        !inverse_program(*reparsed, rebuilt.program(), rebuilt.journal())) {
-      tally.mismatch(where + ": an executor failed to invert a valid wire");
-      continue;
+  }
+  items: repeat delimited(";") {
+    item: seq {
+      k: terminal fixed(1)
+      v: terminal fixed(1)
+      w: terminal fixed(2)
     }
-    if (!ast::equal(*seq_logical, **parsed) ||
-        !ast::equal(*seq_logical, **reparsed)) {
-      tally.mismatch(where + ": inverses differ on a valid wire");
-      continue;
-    }
+  }
+  tail: terminal end
+}
+)";
 
-    // (c): a 1-byte mutation and a truncation.
-    Bytes mutated = wire;
-    mutated[rng.below(mutated.size())] ^=
-        static_cast<Byte>(1 + rng.below(255));
-    const BytesView truncated = BytesView(wire).first(
-        static_cast<std::size_t>(rng.below(wire.size())));
-    for (const BytesView input : {BytesView(mutated), truncated}) {
-      auto damaged =
-          parse_wire(p.wire_graph(), p.journal(), p.holders(), input);
-      if (!damaged) continue;
-      ++tally.mutants;
-      if (!inverses_agree(p, **damaged)) {
-        tally.mismatch(where + ": inverses differ on a damaged wire " +
-                       to_hex(input));
+/// A protocol whose journal first splits every Repetition/Tabular of `g1`
+/// and pads, keys and swaps every element of the rest half
+/// (TabSplit/RepSplit's wrapper of the element's children after the
+/// first), then runs `rounds` rounds as the obfuscator does: every node of
+/// the graph, in order, takes the first kind of a shuffled list that
+/// applies.
+Expected<ObfuscatedProtocol> fan_out_protocol(const Graph& g1, int rounds,
+                                              std::uint64_t seed) {
+  Graph g = g1.clone();
+  Rng rng(seed);
+  RewriteContext ctx{g, rng, 0};
+  Journal journal;
+  const auto apply = [&](TransformKind kind, NodeId target) {
+    auto entry = try_apply(ctx, kind, target);
+    if (entry) journal.push_back(*entry);
+    return entry;
+  };
+  for (const NodeId id : g1.dfs_order()) {
+    const bool tabular = g1.node(id).type == NodeType::Tabular;
+    if (!tabular && g1.node(id).type != NodeType::Repetition) continue;
+    const auto split =
+        apply(tabular ? TransformKind::TabSplit : TransformKind::RepSplit, id);
+    if (!split) continue;
+    const NodeId rest = tabular ? split->created_c : split->created_d;
+    if (rest == kNoNode) continue;
+    if (const auto pad = apply(TransformKind::PadInsert, rest)) {
+      apply(TransformKind::ConstXor, pad->created_a);
+    }
+    apply(TransformKind::ChildMove, rest);
+  }
+  for (int round = 0; round < rounds; ++round) {
+    for (const NodeId id : g.dfs_order()) {
+      const auto positions = g.dfs_positions();
+      if (positions[id] == static_cast<std::size_t>(-1)) continue;
+      std::vector<TransformKind> kinds(std::begin(kAllTransformKinds),
+                                       std::end(kAllTransformKinds));
+      rng.shuffle(std::span<TransformKind>(kinds));
+      for (const TransformKind kind : kinds) {
+        if (apply(kind, id)) break;
       }
     }
   }
+  return ObfuscatedProtocol::from_parts(g1.clone(), std::move(g),
+                                        std::move(journal));
 }
 
 TEST(JournalProgram, MatchesTheSequentialExecutorEverywhere) {
@@ -191,7 +358,10 @@ TEST(JournalProgram, MatchesTheSequentialExecutorEverywhere) {
 
   Rng rng(seed);
   Tally tally;
-  for (const auto& [name, text] : specs) {
+  // Generates one protocol per (per_node, seed) of a spec, reloads it from
+  // its artifact and checks both.
+  const auto sweep = [&](const std::string& name, std::string_view text,
+                         const auto& generate) {
     auto graph = Framework::load_spec(text);
     ASSERT_TRUE(graph.ok()) << name << ": " << graph.error().message;
     for (int per_node = 1; per_node <= 4; ++per_node) {
@@ -199,25 +369,49 @@ TEST(JournalProgram, MatchesTheSequentialExecutorEverywhere) {
         ObfuscationConfig cfg;
         cfg.per_node = per_node;
         cfg.seed = rng.next_u64();
-        auto protocol = Framework::generate(*graph, cfg);
+        auto protocol = generate(*graph, cfg);
         ASSERT_TRUE(protocol.ok()) << name << ": " << protocol.error().message;
         auto rebuilt = load_artifact(save_artifact(*protocol));
         ASSERT_TRUE(rebuilt.ok()) << name << ": " << rebuilt.error().message;
-        check_protocol(*protocol, *rebuilt, rng,
+        Rng edge_rng(cfg.seed ^ 0xED6E);
+        check_protocol(*protocol, *rebuilt, rng, edge_rng,
                        name + " per_node " + std::to_string(per_node) +
                            " seed " + std::to_string(cfg.seed),
                        tally);
       }
     }
+  };
+  for (const auto& [name, text] : specs) {
+    sweep(name, text, [](const Graph& g, const ObfuscationConfig& cfg) {
+      return Framework::generate(g, cfg);
+    });
   }
 
-  std::printf("journal_program: seed %llu, %zu cases, %zu damaged wires "
-              "parsed, %zu mismatches\n",
+  // The obfuscator always splits a TabSplit/RepSplit half again before it
+  // touches the half's elements, so no protocol above resolves a kEach
+  // step. Hand-built journals do.
+  std::size_t each_steps = 0;
+  sweep("fan-out", kFanOutSpec,
+        [&](const Graph& g, const ObfuscationConfig& cfg) {
+          auto protocol = fan_out_protocol(g, cfg.per_node - 1, cfg.seed);
+          if (protocol) {
+            const auto& steps = protocol->program().steps;
+            each_steps += static_cast<std::size_t>(
+                std::count(steps.begin(), steps.end(), JournalProgram::kEach));
+          }
+          return protocol;
+        });
+  const std::size_t protocols = (specs.size() + 1) * 4 * kSeeds;
+
+  std::printf("journal_program: seed %llu, %zu cases (%zu edge shapes), %zu "
+              "damaged wires parsed, %zu mismatches\n",
               static_cast<unsigned long long>(seed), tally.cases,
-              tally.mutants, tally.mismatches);
+              tally.edge_cases, tally.mutants, tally.mismatches);
   EXPECT_EQ(tally.mismatches, 0u) << "first: " << tally.first;
-  EXPECT_GE(tally.cases, specs.size() * 4 * kSeeds * 8);
+  EXPECT_GE(tally.cases - tally.edge_cases, protocols * 8);
+  EXPECT_EQ(tally.edge_cases, protocols * 3);
   EXPECT_GT(tally.mutants, 0u);
+  EXPECT_GE(each_steps, std::size_t{4} * kSeeds);
 }
 
 }  // namespace

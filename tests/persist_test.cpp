@@ -2,6 +2,8 @@
 // between a generating peer and a loading peer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -143,6 +145,110 @@ TEST(Persist, RejectsNonNumericJournalField) {
   const auto result = load_artifact(with_first_entry_field(11, "x1"));
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.error().message.find("malformed"), std::string::npos);
+}
+
+/// small_artifact() with field `index` of its first journal entry of
+/// `kind` replaced by `value`; `entry` receives that entry's index.
+std::string with_entry_field(TransformKind kind, std::size_t index,
+                             const std::string& value, std::size_t& entry) {
+  std::string artifact = small_artifact();
+  const std::string prefix =
+      "\nentry " + std::to_string(static_cast<int>(kind)) + " ";
+  const std::size_t begin = artifact.find(prefix) + 1;
+  EXPECT_NE(begin, 0u) << "no " << to_string(kind) << " entry";
+  entry = 0;
+  for (std::size_t at = artifact.find("\nentry "); at + 1 < begin;
+       at = artifact.find("\nentry ", at + 1)) {
+    ++entry;
+  }
+  const std::size_t end = artifact.find('\n', begin);
+  std::istringstream in(artifact.substr(begin, end - begin));
+  std::vector<std::string> fields;
+  for (std::string field; in >> field;) fields.push_back(field);
+  fields.at(index) = value;
+  std::string line = fields[0];
+  for (std::size_t i = 1; i < fields.size(); ++i) line += " " + fields[i];
+  return artifact.replace(begin, end - begin, line);
+}
+
+// An index the entry's target cannot take used to load and then fail
+// every serialize; resolving the op list rejects it at load, naming the
+// entry.
+TEST(Persist, RejectsChildMoveIndexOutOfRange) {
+  std::size_t entry = 0;
+  const auto result = load_artifact(
+      with_entry_field(TransformKind::ChildMove, 14, "99", entry));
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.error().message.find("artifact journal invalid: journal "
+                                        "entry " +
+                                        std::to_string(entry) + ": "),
+            std::string::npos)
+      << result.error().message;
+}
+
+TEST(Persist, RejectsPadInsertIndexOutOfRange) {
+  std::size_t entry = 0;
+  const auto result = load_artifact(
+      with_entry_field(TransformKind::PadInsert, 12, "99", entry));
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.error().message.find("artifact journal invalid: journal "
+                                        "entry " +
+                                        std::to_string(entry) + ": "),
+            std::string::npos)
+      << result.error().message;
+}
+
+// Two Const entries of one algebra on one target whose long keys have
+// coprime lengths: the loader must not build one key of their lcm (about
+// 4.3 GB here). Each key applies on its own, modulo its length, and the
+// loaded protocol round-trips.
+TEST(Persist, LoadsLongConstKeysOfCoprimeLengthsOnOneTarget) {
+  std::string artifact = small_artifact();
+  std::size_t begin = std::string::npos;
+  for (const TransformKind kind : {TransformKind::ConstAdd,
+                                   TransformKind::ConstSub,
+                                   TransformKind::ConstXor}) {
+    begin = std::min(begin, artifact.find("\nentry " +
+                                          std::to_string(static_cast<int>(
+                                              kind)) +
+                                          " "));
+  }
+  ASSERT_NE(begin, std::string::npos) << "no Const entry";
+  ++begin;
+  const std::size_t end = artifact.find('\n', begin);
+  std::istringstream in(artifact.substr(begin, end - begin));
+  std::vector<std::string> fields;
+  for (std::string field; in >> field;) fields.push_back(field);
+  Rng keys(3);
+  const auto with_key = [&](std::size_t size) {
+    fields.at(10) = to_hex(keys.bytes(size));
+    std::string line = fields[0];
+    for (std::size_t i = 1; i < fields.size(); ++i) line += " " + fields[i];
+    return line;
+  };
+  artifact.replace(begin, end - begin,
+                   with_key(65521) + "\n" + with_key(65519));
+  const std::size_t count_at = artifact.find("\njournal ") + 9;
+  const std::size_t count_end = artifact.find('\n', count_at);
+  const std::size_t count =
+      std::stoul(artifact.substr(count_at, count_end - count_at));
+  artifact.replace(count_at, count_end - count_at, std::to_string(count + 1));
+
+  std::optional<Expected<ObfuscatedProtocol>> loaded;
+  ASSERT_NO_THROW(loaded.emplace(load_artifact(artifact)));
+  ASSERT_TRUE(loaded->ok()) << loaded->error().message;
+  const ObfuscatedProtocol& protocol = loaded->value();
+  EXPECT_EQ(protocol.journal().size(), count + 1);
+  Rng rng(11);
+  for (int i = 0; i < 5; ++i) {
+    Message msg = modbus::random_request(protocol.original(), rng);
+    ASSERT_TRUE(protocol.canonicalize(msg.root()).ok());
+    auto wire = protocol.serialize(msg.root(), 900u + i);
+    ASSERT_TRUE(wire.ok()) << wire.error().message;
+    auto back = protocol.parse(*wire);
+    ASSERT_TRUE(back.ok()) << back.error().message;
+    EXPECT_TRUE(ast::equal(**back, msg.root()));
+  }
 }
 
 // Node 0 belongs to the original graph: no entry may claim to create it.
