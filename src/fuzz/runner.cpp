@@ -113,10 +113,6 @@ Verdict FuzzRunner::one_shot(BytesView wire) {
   return parse_full(wire).verdict;
 }
 
-Verdict FuzzRunner::resumed_replay(BytesView wire, Rng& chunks) {
-  return replay_chunked(wire, chunks).verdict;
-}
-
 std::string FuzzRunner::check(BytesView wire, Rng& chunks) {
   ++totals_.inputs;
   const std::size_t live_before = arena_.nodes().stats().live;

@@ -73,11 +73,6 @@ class FuzzRunner {
   /// Full-buffer parse, no resume state involved.
   Verdict one_shot(BytesView wire);
 
-  /// Trickles `wire` through randomized chunk splits, resuming each
-  /// truncated attempt from its checkpoint. `chunks` drives the split
-  /// sizes only, so a replay is reproducible from its seed.
-  Verdict resumed_replay(BytesView wire, Rng& chunks);
-
   /// Runs every oracle on one input. Returns the empty string when all
   /// invariants hold, else a description of the violation (for the test's
   /// failure message and the corpus note).

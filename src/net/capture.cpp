@@ -2,37 +2,17 @@
 
 namespace protoobf::net {
 
-void TrafficCapture::record_out(BytesView frame) {
-  std::lock_guard<std::mutex> lock(mu_);
-  out_.emplace_back(frame.begin(), frame.end());
-}
-
 void TrafficCapture::record_in(BytesView chunk) {
   std::lock_guard<std::mutex> lock(mu_);
   in_.emplace_back(chunk.begin(), chunk.end());
 }
 
-std::vector<Bytes> TrafficCapture::out_frames() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return out_;
-}
-
-std::vector<Bytes> TrafficCapture::in_chunks() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return in_;
-}
-
-Bytes TrafficCapture::in_stream() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  Bytes stream;
-  for (const Bytes& chunk : in_) {
-    stream.insert(stream.end(), chunk.begin(), chunk.end());
-  }
-  return stream;
-}
-
 Expected<std::vector<Bytes>> TrafficCapture::deframe_in(Framer& framer) const {
-  const Bytes stream = in_stream();
+  Bytes stream;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const Bytes& chunk : in_) append(stream, chunk);
+  }
   std::vector<Bytes> payloads;
   std::size_t off = 0;
   while (off < stream.size()) {
@@ -51,26 +31,6 @@ Expected<std::vector<Bytes>> TrafficCapture::deframe_in(Framer& framer) const {
     }
   }
   return payloads;
-}
-
-std::size_t TrafficCapture::bytes_out() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::size_t total = 0;
-  for (const Bytes& f : out_) total += f.size();
-  return total;
-}
-
-std::size_t TrafficCapture::bytes_in() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::size_t total = 0;
-  for (const Bytes& c : in_) total += c.size();
-  return total;
-}
-
-void TrafficCapture::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  out_.clear();
-  in_.clear();
 }
 
 }  // namespace protoobf::net

@@ -3,17 +3,13 @@
 // The pre-instruments (src/pre) grade obfuscation quality, but until now
 // they only ever saw bytes produced in-process by a serializer — never
 // bytes that crossed a real socket, with the kernel deciding chunk sizes
-// and coalescing frames. A TrafficCapture records exactly what a
-// Connection puts on and takes off the wire:
+// and coalescing frames. A TrafficCapture records what a Connection takes
+// off the wire: one entry per read() slice, exactly as the kernel
+// delivered it — frame boundaries NOT preserved, because an observer on
+// the wire does not get them either.
 //
-//   * record_out: one entry per framed message, as handed to the kernel —
-//     frame boundaries preserved, because the sender knows them;
-//   * record_in: one entry per read() slice, exactly as the kernel
-//     delivered it — boundaries NOT preserved, because an observer on the
-//     wire does not get them either.
-//
-// deframe() recovers message payloads from the inbound stream the honest
-// way: by running a fresh Framer over the concatenated capture, the same
+// deframe_in() recovers message payloads from that stream the honest way:
+// by running a fresh Framer over the concatenated capture, the same
 // reassembly any endpoint would do. What the DPI instruments are fed is
 // therefore real loopback traffic, not a synthetic approximation.
 //
@@ -32,32 +28,18 @@ namespace protoobf::net {
 
 class TrafficCapture {
  public:
-  /// One framed message, boundaries intact (sender side).
-  void record_out(BytesView frame);
-
   /// One kernel read() slice, boundaries as delivered (receiver side).
   void record_in(BytesView chunk);
 
-  std::vector<Bytes> out_frames() const;
-  std::vector<Bytes> in_chunks() const;
-
-  /// The inbound capture as one contiguous stream, in arrival order.
-  Bytes in_stream() const;
-
-  /// Recovers the framed payloads from the inbound stream by running
-  /// `framer` over it (the framer must be fresh: its decode state becomes
-  /// this stream's). Fails if the stream ends mid-frame or a frame is
-  /// malformed — a capture of a clean conversation contains whole frames.
+  /// Recovers the framed payloads from the inbound stream, in arrival
+  /// order, by running `framer` over it (the framer must be fresh: its
+  /// decode state becomes this stream's). Fails if the stream ends
+  /// mid-frame or a frame is malformed — a capture of a clean conversation
+  /// contains whole frames.
   Expected<std::vector<Bytes>> deframe_in(Framer& framer) const;
-
-  std::size_t bytes_out() const;
-  std::size_t bytes_in() const;
-
-  void clear();
 
  private:
   mutable std::mutex mu_;
-  std::vector<Bytes> out_;
   std::vector<Bytes> in_;
 };
 

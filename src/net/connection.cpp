@@ -101,7 +101,6 @@ Status Connection::send(const Inst& message, std::uint64_t msg_seed) {
   }
   auto framed = channel_.send(message, msg_seed);
   if (!framed) return Unexpected(framed.error());
-  if (config_.capture != nullptr) config_.capture->record_out(*framed);
 
   // Fast path: nothing queued, so the kernel may take the frame directly.
   std::size_t off = 0;

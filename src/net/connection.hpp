@@ -69,9 +69,9 @@ class Connection {
     // 0 = wait indefinitely.
     std::chrono::milliseconds drain_timeout{5000};
     int send_buffer = 0;  // SO_SNDBUF override; 0 = kernel default
-    // Optional wire tap (net/capture.hpp): outbound frames and inbound
-    // read() slices are recorded exactly as they hit the socket. Must
-    // outlive the connection; null = no capture.
+    // Optional wire tap (net/capture.hpp): inbound read() slices are
+    // recorded exactly as they come off the socket. Must outlive the
+    // connection; null = no capture.
     TrafficCapture* capture = nullptr;
     // Syscall seam (net/fault.hpp): every recv/send goes through it, and
     // Connector consults its connect gate before dialing. Null = the real

@@ -85,9 +85,6 @@ class EventLoop {
 
   bool running() const { return running_.load(std::memory_order_relaxed); }
 
-  /// Number of active fd watches (wakeup/timer plumbing excluded).
-  std::size_t watch_count() const { return watches_.size(); }
-
  private:
   struct Watch {
     std::uint32_t gen = 0;

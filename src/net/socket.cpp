@@ -1,7 +1,6 @@
 #include "net/socket.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
@@ -87,14 +86,6 @@ Expected<Fd> accept_tcp(int listen_fd) {
     return Fd();  // backlog drained (or a connection died in it) — no error
   }
   return errno_error("accept");
-}
-
-Status set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) != 0) {
-    return errno_error("fcntl(O_NONBLOCK)");
-  }
-  return Status::success();
 }
 
 Status set_nodelay(int fd) {

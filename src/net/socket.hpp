@@ -65,8 +65,6 @@ Expected<Fd> connect_tcp(const Endpoint& ep);
 /// (valid() == false) means the backlog is drained (EAGAIN) — not an error.
 Expected<Fd> accept_tcp(int listen_fd);
 
-Status set_nonblocking(int fd);
-
 /// Disables Nagle coalescing — an obfuscated request/response exchange is
 /// latency-bound on small frames.
 Status set_nodelay(int fd);

@@ -91,21 +91,26 @@ Status collect_pairs(const Graph& graph, const HolderTable& table, Inst& root,
       scopes);
 }
 
-/// The one derive pass: visits `pairs` from last to first, measures each
-/// pair's region once and calls `set(k, pair)` at the first pair of every
-/// holder instance, once all of its pairs measured the same value.
+/// The one derive pass: visits the scratch's pairs from last to first,
+/// measures each pair's region once (a Length region by emitting it into
+/// the scratch's `region` buffer) and calls `set(k, pair)` at the first
+/// pair of every holder instance, once all of its pairs measured the same
+/// value.
 template <typename Set>
-Status derive_pass(const Graph& graph, std::vector<DeriveRef>& pairs,
-                   Set&& set) {
+Status derive_pass(const Graph& graph, DeriveScratch& scratch, Set&& set) {
+  std::vector<DeriveRef>& pairs = scratch.pairs;
+  // As in collect_pairs: one allocation instead of a doubling climb.
+  if (scratch.region.capacity() == 0) scratch.region.reserve(256);
   for (std::size_t k = pairs.size(); k-- > 0;) {
     const DeriveRef& pair = pairs[k];
     std::uint64_t value = 0;
     if (pair.is_counter) {
       value = pair.measured->children.size();
     } else {
-      auto size = emitted_size(graph, *pair.measured);
-      if (!size) return Unexpected(size.error());
-      value = *size;
+      if (Status s = emit_into(graph, *pair.measured, scratch.region); !s) {
+        return s;
+      }
+      value = scratch.region.size();
     }
     DeriveRef& first = pairs[pair.first];
     if (first.value != DeriveRef::kUnmeasured && first.value != value) {
@@ -186,7 +191,7 @@ Status canonicalize(const Graph& g1, Inst& root, const HolderTable* holders,
       !s) {
     return s;
   }
-  return derive_pass(g1, scratch->pairs, [&](std::size_t, DeriveRef& pair) {
+  return derive_pass(g1, *scratch, [&](std::size_t, DeriveRef& pair) {
     Status s = encode_holder_into(encoded, g1, pair.holder->schema,
                                   pair.value);
     if (s) pair.holder->value = encoded;
@@ -207,8 +212,8 @@ Status fix_holders(const Graph& wire, const Journal& journal,
       !s) {
     return s;
   }
-  return derive_pass(wire, scratch->pairs, [&](std::size_t k,
-                                               DeriveRef& pair) -> Status {
+  return derive_pass(wire, *scratch, [&](std::size_t k,
+                                         DeriveRef& pair) -> Status {
     const HolderInfo& info = *pair.info;
     if (Status s = encode_holder_into(encoded, wire, info.origin, pair.value);
         !s) {

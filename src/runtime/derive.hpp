@@ -57,6 +57,7 @@ struct DeriveRef {
 struct DeriveScratch {
   std::vector<DeriveRef> pairs;  // the pass's work list
   Bytes encoded;                 // holder-encoding buffer
+  Bytes region;                  // a measured region, emitted to be sized
   Bytes registers;               // fix_holders()' read-plan registers
   EntryStreams streams;          // serialize's per-entry random streams
 };
@@ -72,11 +73,12 @@ Status check_presence(const Graph& graph, Inst& root,
                       ScopeChain* scopes = nullptr);
 
 /// Logical derivation: consts + length/count holders per G1 semantics.
-/// Size measurements run through the counting emitter, so no intermediate
-/// buffer is ever materialized. `holders`, when given, must equal
-/// build_holder_table(g1, g1, {}) (it is rebuilt when null); `scopes` is a
-/// reusable scope table for the pass's walk and `scratch` a reusable bundle
-/// for its work vectors (locals are used when null).
+/// A Length region is measured by emitting it into the scratch's `region`
+/// buffer, so it fails with the same error emit() would. `holders`, when
+/// given, must equal build_holder_table(g1, g1, {}) (it is rebuilt when
+/// null); `scopes` is a reusable scope table for the pass's walk and
+/// `scratch` a reusable bundle for its work vectors and buffers (locals are
+/// used when null).
 Status canonicalize(const Graph& g1, Inst& root,
                     const HolderTable* holders = nullptr,
                     ScopeChain* scopes = nullptr,

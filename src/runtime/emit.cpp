@@ -1,7 +1,6 @@
 #include "runtime/emit.hpp"
 
 #include <algorithm>
-#include <array>
 
 namespace protoobf {
 
@@ -112,230 +111,6 @@ class Emitter {
   std::vector<FieldSpan>* spans_;
 };
 
-// --- counting emitter -------------------------------------------------------
-//
-// emitted_size() must agree with emit() bit-for-bit on both the size and
-// the error behaviour, without touching a buffer. Sizes are a plain sum
-// (mirroring is size-neutral), but three emit-time validations read the
-// serialized bytes: delimiter containment, stop-marker prefix collisions,
-// and empty repetition elements. Those are reproduced by *streaming* the
-// would-be wire bytes out of the tree in emission order — reversal flags
-// flip the traversal direction instead of reversing data, and the bytes
-// feed an incremental matcher that holds only a delimiter-sized window.
-
-/// Streams `v` forward or reversed. The sink returns false to stop early.
-template <typename Sink>
-bool stream_value(BytesView v, bool rev, Sink& sink) {
-  if (!rev) {
-    for (const Byte b : v) {
-      if (!sink(b)) return false;
-    }
-  } else {
-    for (auto it = v.rbegin(); it != v.rend(); ++it) {
-      if (!sink(*it)) return false;
-    }
-  }
-  return true;
-}
-
-template <typename Sink>
-bool stream_node(const Graph& g, const Inst& inst, bool rev, Sink& sink);
-
-/// Streams the node's content region C(n) — children serializations or the
-/// terminal value, before this node's own delimiter — in orientation `rev`.
-/// A reversed region streams its children in reverse order, each child
-/// itself reversed; nested mirrors cancel naturally through the XOR in
-/// stream_node.
-template <typename Sink>
-bool stream_content(const Graph& g, const Inst& inst, bool rev, Sink& sink) {
-  const Node& n = g.node(inst.schema);
-  if (n.type == NodeType::Terminal) {
-    return stream_value(inst.value, rev, sink);
-  }
-  if (!inst.present) return true;
-  if (!rev) {
-    for (const auto& child : inst.children) {
-      if (!stream_node(g, *child, false, sink)) return false;
-    }
-  } else {
-    for (auto it = inst.children.rbegin(); it != inst.children.rend(); ++it) {
-      if (!stream_node(g, **it, true, sink)) return false;
-    }
-  }
-  return true;
-}
-
-/// Streams the node's full serialization S(n) = mirror(C(n)) + delimiter in
-/// orientation `rev`. S reversed is reverse(delimiter) + C in the opposite
-/// orientation; the node's own mirror XORs into the content orientation.
-template <typename Sink>
-bool stream_node(const Graph& g, const Inst& inst, bool rev, Sink& sink) {
-  const Node& n = g.node(inst.schema);
-  const bool content_rev = rev != n.mirrored;
-  if (!rev) {
-    if (!stream_content(g, inst, content_rev, sink)) return false;
-    if (n.boundary == BoundaryKind::Delimited) {
-      return stream_value(n.delimiter, false, sink);
-    }
-    return true;
-  }
-  if (n.boundary == BoundaryKind::Delimited) {
-    if (!stream_value(n.delimiter, true, sink)) return false;
-  }
-  return stream_content(g, inst, content_rev, sink);
-}
-
-/// Incremental contains-check over a fed byte stream, windowed to the
-/// needle's length. Small needles (every real delimiter) stay on the
-/// stack; only a pathological multi-kilobyte delimiter spills to the heap.
-class StreamMatcher {
- public:
-  explicit StreamMatcher(BytesView needle) : needle_(needle) {
-    if (needle_.size() > kInlineWindow) heap_.resize(needle_.size());
-  }
-
-  void feed(Byte b) {
-    const std::size_t m = needle_.size();
-    Byte* w = window();
-    w[head_] = b;
-    head_ = (head_ + 1) % m;
-    if (filled_ < m) {
-      ++filled_;
-      if (filled_ < m) return;
-    }
-    for (std::size_t i = 0; i < m; ++i) {
-      if (w[(head_ + i) % m] != needle_[i]) return;
-    }
-    hit_ = true;
-  }
-
-  bool hit() const { return hit_; }
-
- private:
-  static constexpr std::size_t kInlineWindow = 32;
-
-  Byte* window() { return heap_.empty() ? inline_.data() : heap_.data(); }
-
-  BytesView needle_;
-  std::array<Byte, kInlineWindow> inline_{};
-  Bytes heap_;
-  std::size_t head_ = 0;
-  std::size_t filled_ = 0;
-  bool hit_ = false;
-};
-
-class SizeCounter {
- public:
-  explicit SizeCounter(const Graph& graph) : graph_(graph) {}
-
-  Status count_node(const Inst& inst, std::size_t& total) {
-    const Node& n = graph_.node(inst.schema);
-    const std::size_t start = total;
-
-    switch (n.type) {
-      case NodeType::Terminal: {
-        if (n.boundary == BoundaryKind::Fixed &&
-            inst.value.size() != n.fixed_size) {
-          return fail(inst, "value size " + std::to_string(inst.value.size()) +
-                                " does not match fixed size " +
-                                std::to_string(n.fixed_size));
-        }
-        total += inst.value.size();
-        break;
-      }
-      case NodeType::Sequence: {
-        for (const auto& child : inst.children) {
-          if (Status s = count_node(*child, total); !s) return s;
-        }
-        break;
-      }
-      case NodeType::Optional: {
-        if (inst.present) {
-          if (inst.children.size() != 1) {
-            return fail(inst, "present optional without its sub-node");
-          }
-          if (Status s = count_node(*inst.children[0], total); !s) return s;
-        }
-        break;
-      }
-      case NodeType::Repetition:
-      case NodeType::Tabular: {
-        for (const auto& element : inst.children) {
-          const std::size_t element_start = total;
-          if (Status s = count_node(*element, total); !s) return s;
-          if (n.type == NodeType::Repetition && total == element_start) {
-            return fail(inst, "repetition element serialized empty");
-          }
-          if (n.type == NodeType::Repetition &&
-              n.boundary == BoundaryKind::Delimited &&
-              element_starts_with(*element, n.delimiter)) {
-            return fail(inst, "repetition element starts with the stop marker");
-          }
-        }
-        break;
-      }
-    }
-
-    // Mirroring reverses the region in place: size-neutral.
-
-    if (n.boundary == BoundaryKind::Delimited) {
-      if (n.type != NodeType::Repetition &&
-          region_contains(inst, n.mirrored, n.delimiter)) {
-        return fail(inst, "content contains its own delimiter");
-      }
-      total += n.delimiter.size();
-    }
-
-    if (n.boundary == BoundaryKind::Fixed && n.is_composite() &&
-        total - start != n.fixed_size) {
-      return fail(inst, "composite serialized to " +
-                            std::to_string(total - start) +
-                            " bytes, fixed size is " +
-                            std::to_string(n.fixed_size));
-    }
-    return Status::success();
-  }
-
- private:
-  Unexpected fail(const Inst& inst, const std::string& what) const {
-    return Unexpected("serialize '" + graph_.path_of(inst.schema) +
-                      "': " + what);
-  }
-
-  /// emit()'s find(region, delimiter) over the node's mirrored content,
-  /// streamed instead of materialized.
-  bool region_contains(const Inst& inst, bool mirrored, BytesView delim) {
-    if (delim.empty()) return false;
-    StreamMatcher matcher(delim);
-    auto sink = [&](Byte b) {
-      matcher.feed(b);
-      return !matcher.hit();
-    };
-    stream_content(graph_, inst, mirrored, sink);
-    return matcher.hit();
-  }
-
-  /// emit()'s starts_with(element bytes, marker): streams just the leading
-  /// marker-length bytes of the element's serialization.
-  bool element_starts_with(const Inst& element, BytesView marker) {
-    if (marker.empty()) return false;
-    std::size_t matched = 0;
-    bool mismatch = false;
-    auto sink = [&](Byte b) {
-      if (b != marker[matched]) {
-        mismatch = true;
-        return false;
-      }
-      ++matched;
-      return matched < marker.size();
-    };
-    stream_node(graph_, element, /*rev=*/false, sink);
-    return !mismatch && matched == marker.size();
-  }
-
-  const Graph& graph_;
-};
-
 }  // namespace
 
 Expected<Bytes> emit(const Graph& graph, const Inst& root,
@@ -353,15 +128,6 @@ Status emit_into(const Graph& graph, const Inst& root, Bytes& out,
   if (spans != nullptr) spans->clear();
   Emitter emitter(graph, out, spans);
   return emitter.emit_node(root);
-}
-
-Expected<std::size_t> emitted_size(const Graph& graph, const Inst& root) {
-  SizeCounter counter(graph);
-  std::size_t total = 0;
-  if (Status s = counter.count_node(root, total); !s) {
-    return Unexpected(s.error());
-  }
-  return total;
 }
 
 }  // namespace protoobf

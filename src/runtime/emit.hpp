@@ -9,8 +9,9 @@
 //   * mirrored nodes (ReadFromEnd) reverse their whole serialized region.
 //
 // The same routine serializes logical trees against G1 (the non-obfuscated
-// baseline and the size oracle for derived fields) and wire trees against
-// G(n+1).
+// baseline) and wire trees against G(n+1), and it is also how the derive
+// passes measure a Length region: they emit the region into scratch and
+// take its size, so a measured size and its errors are those of the wire.
 #pragma once
 
 #include <vector>
@@ -36,18 +37,9 @@ Expected<Bytes> emit(const Graph& graph, const Inst& root,
 
 /// Serializes into `out`, replacing its contents but reusing its capacity —
 /// the zero-allocation path for sessions that serialize many messages
-/// through one buffer. `spans`, when given, is likewise overwritten.
+/// through one buffer, and for the derive passes that measure every region
+/// in one scratch buffer. `spans`, when given, is likewise overwritten.
 Status emit_into(const Graph& graph, const Inst& root, Bytes& out,
                  std::vector<FieldSpan>* spans = nullptr);
-
-/// Size of the serialization without materializing any bytes: a counting
-/// walk over the tree that performs every validation a real emission would
-/// (fixed-size mismatches, delimiter containment, stop-marker collisions,
-/// empty repetition elements) by streaming values through incremental
-/// matchers instead of writing a buffer. Returns exactly the size (and
-/// exactly the errors, in the same order) that emit() would produce —
-/// derive's passes call it once per measured region per message, so it
-/// must neither write nor allocate per byte.
-Expected<std::size_t> emitted_size(const Graph& graph, const Inst& root);
 
 }  // namespace protoobf

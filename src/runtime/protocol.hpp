@@ -63,10 +63,9 @@ class ObfuscatedProtocol {
   /// the canonicalize/forward-transform passes mutate a workspace copy
   /// whose nodes come from `nodes` (when given) — the session arena's pool
   /// — so a steady-state session serializes with O(1) small allocations
-  /// per message (derive-pass scratch) instead of O(nodes). Size
-  /// measurement runs through the counting emitter, so no scratch buffer
-  /// is needed anymore; `derive`, when given, backs the derive passes'
-  /// work vectors the same way.
+  /// per message (derive-pass scratch) instead of O(nodes). `derive`, when
+  /// given, backs the derive passes' work vectors the same way, including
+  /// the buffer they emit each measured region into.
   Status serialize_into(const Inst& message, std::uint64_t msg_seed,
                         Bytes& out, std::vector<FieldSpan>* spans = nullptr,
                         InstPool* nodes = nullptr,

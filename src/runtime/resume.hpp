@@ -95,7 +95,6 @@ class ParseResume {
   }
 
   const Stats& stats() const { return stats_; }
-  void reset_stats() { stats_ = Stats(); }
 
   /// Bytes of the buffer front already accounted for by the checkpoint
   /// (the suspended attempt's window size). 0 when inactive.

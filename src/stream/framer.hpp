@@ -194,7 +194,6 @@ class ObfuscatedFramer final : public Framer {
   /// bench's decodes-per-frame / bytes-rescanned-per-frame counters and
   /// the O(frame) CI guard read these.
   const ParseResume::Stats& resume_stats() const { return resume_.stats(); }
-  void reset_resume_stats() { resume_.reset_stats(); }
 
   /// Whether a partially decoded frame is currently suspended.
   bool decode_suspended() const { return resume_.active(); }

@@ -100,13 +100,6 @@ struct AppliedTransform {
 
 using Journal = std::vector<AppliedTransform>;
 
-/// True for transformations that change the wire size of the target subtree.
-bool changes_size(TransformKind kind);
-
-/// True for transformations that replace target bytes with arbitrary values
-/// (and therefore may not appear under a delimiter-scanned region).
-bool randomizes_bytes(TransformKind kind);
-
 /// The node an entry's inverse acts on: created_seq, which only Split*,
 /// BoundaryChange, TabSplit and RepSplit set (they put it in the target's
 /// place), else the target, which every other kind rewrites in place.

@@ -78,12 +78,6 @@ void append(Bytes& dst, BytesView src) {
   dst.insert(dst.end(), src.begin(), src.end());
 }
 
-Bytes concat(BytesView a, BytesView b) {
-  Bytes out(a.begin(), a.end());
-  append(out, b);
-  return out;
-}
-
 Bytes reversed(BytesView data) {
   Bytes out;
   assign_reversed(out, data);
@@ -132,13 +126,6 @@ void zip_bytes_into(Bytes& dst, BytesView a, BytesView b, Op op) {
 }
 
 template <typename Op>
-Bytes zip_bytes(BytesView a, BytesView b, Op op) {
-  Bytes out;
-  zip_bytes_into(out, a, b, op);
-  return out;
-}
-
-template <typename Op>
 void zip_key_in(std::span<Byte> data, BytesView key, Op op) {
   assert(!key.empty());
   // A wrapping key index instead of i % key.size(): no division per byte.
@@ -148,26 +135,7 @@ void zip_key_in(std::span<Byte> data, BytesView key, Op op) {
     if (++k == key.size()) k = 0;
   }
 }
-
-template <typename Op>
-Bytes zip_key(BytesView a, BytesView key, Op op) {
-  Bytes out(a.begin(), a.end());
-  zip_key_in(out, key, op);
-  return out;
-}
 }  // namespace
-
-Bytes add_mod256(BytesView a, BytesView b) {
-  return zip_bytes(a, b, [](unsigned x, unsigned y) { return x + y; });
-}
-
-Bytes sub_mod256(BytesView a, BytesView b) {
-  return zip_bytes(a, b, [](unsigned x, unsigned y) { return x - y; });
-}
-
-Bytes xor_bytes(BytesView a, BytesView b) {
-  return zip_bytes(a, b, [](unsigned x, unsigned y) { return x ^ y; });
-}
 
 void add_mod256_into(Bytes& dst, BytesView a, BytesView b) {
   zip_bytes_into(dst, a, b, [](unsigned x, unsigned y) { return x + y; });
@@ -179,18 +147,6 @@ void sub_mod256_into(Bytes& dst, BytesView a, BytesView b) {
 
 void xor_bytes_into(Bytes& dst, BytesView a, BytesView b) {
   zip_bytes_into(dst, a, b, [](unsigned x, unsigned y) { return x ^ y; });
-}
-
-Bytes add_key(BytesView a, BytesView key) {
-  return zip_key(a, key, [](unsigned x, unsigned y) { return x + y; });
-}
-
-Bytes sub_key(BytesView a, BytesView key) {
-  return zip_key(a, key, [](unsigned x, unsigned y) { return x - y; });
-}
-
-Bytes xor_key(BytesView a, BytesView key) {
-  return zip_key(a, key, [](unsigned x, unsigned y) { return x ^ y; });
 }
 
 void add_key_in(std::span<Byte> data, BytesView key) {
@@ -257,10 +213,6 @@ std::optional<std::uint64_t> ascii_dec_decode(BytesView data) {
     value = next;
   }
   return value;
-}
-
-bool operator_equal(BytesView a, BytesView b) {
-  return a.size() == b.size() && std::equal(a.begin(), a.end(), b.begin());
 }
 
 }  // namespace protoobf

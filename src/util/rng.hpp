@@ -74,9 +74,6 @@ class Rng {
     }
   }
 
-  /// Derives an independent stream (for per-message randomness).
-  Rng fork() { return Rng(next_u64() ^ 0xa5a5a5a5deadbeefull); }
-
  private:
   std::uint64_t state_;
 };

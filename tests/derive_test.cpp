@@ -102,6 +102,49 @@ m: seq end {
   EXPECT_FALSE(canonicalize(g, msg.root()).ok());
 }
 
+TEST(Canonicalize, MeasuredRegionErrorsSurfaceVerbatim) {
+  // A Length region is measured by emitting it, so an invalid region fails
+  // canonicalize and serialize with the emitter's own error, unwrapped.
+  Graph g = spec(R"(
+protocol P
+m: seq end {
+  len: terminal fixed(2)
+  body: seq length(len) {
+    word: terminal delimited("|")
+    lines: repeat delimited("$") { line: terminal delimited("$") }
+  }
+  rest: terminal end
+}
+)");
+  ObfuscationConfig cfg;
+  cfg.per_node = 2;
+  cfg.seed = 22;
+  auto p = Framework::generate(g, cfg).value();
+  struct Case {
+    const char* word;
+    const char* line;
+    const char* error;
+  };
+  for (const Case& c :
+       {Case{"a|b", "x",
+             "serialize 'm.body.word': content contains its own delimiter"},
+        Case{"ab", "",  // empty line -> element starts with $
+             "serialize 'm.body.lines': repetition element starts with the "
+             "stop marker"}}) {
+    Message msg(g);
+    msg.set_text("word", c.word);
+    msg.append("lines");
+    msg.set_text("lines[0].line", c.line);
+    msg.set_text("rest", "r");
+    auto wire = p.serialize(msg.root(), 5);
+    ASSERT_FALSE(wire.ok());
+    EXPECT_EQ(wire.error().message, c.error);
+    Status s = canonicalize(g, msg.root());
+    ASSERT_FALSE(s.ok());
+    EXPECT_EQ(s.error().message, c.error);
+  }
+}
+
 TEST(CheckPresence, DetectsBothMismatchDirections) {
   Graph g = spec(R"(
 protocol P
@@ -227,10 +270,10 @@ m: seq end {
   ASSERT_TRUE(canonicalize(g, msg.root()).ok());
   auto bytes = emit(g, msg.root());
   ASSERT_TRUE(bytes.ok());
-  auto size = emitted_size(g, msg.root());
-  ASSERT_TRUE(size.ok());
-  EXPECT_EQ(*size, bytes->size());
-  EXPECT_EQ(*size, 3u + 2 + 1);
+  EXPECT_EQ(*bytes, (Bytes{1, 2, 3, 'b', 'b', '!'}));
+  Bytes reused = {9, 9, 9, 9, 9, 9, 9, 9, 9};
+  ASSERT_TRUE(emit_into(g, msg.root(), reused).ok());
+  EXPECT_EQ(reused, *bytes);
 }
 
 TEST(Emit, RejectsRepetitionElementStartingWithStopMarker) {

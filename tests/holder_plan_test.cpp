@@ -91,9 +91,9 @@ Status pairs_of(const Graph& graph, Inst& root, std::vector<Pair>& pairs) {
 
 Expected<std::uint64_t> measure(const Graph& graph, const Pair& pair) {
   if (pair.is_counter) return pair.measured->children.size();
-  auto size = emitted_size(graph, *pair.measured);
-  if (!size) return Unexpected(size.error());
-  return *size;
+  auto bytes = emit(graph, *pair.measured);
+  if (!bytes) return Unexpected(bytes.error());
+  return bytes->size();
 }
 
 Status reference_canonicalize(const Graph& g1, Inst& root) {

@@ -45,22 +45,37 @@ TEST(Bytes, StartsWith) {
 TEST(Bytes, AddSubMod256AreInverse) {
   const Bytes v{0x01, 0xff, 0x80, 0x00};
   const Bytes k{0xff, 0x01, 0x80, 0x10};
-  EXPECT_EQ(sub_mod256(add_mod256(v, k), k), v);
-  EXPECT_EQ(add_mod256(sub_mod256(v, k), k), v);
+  Bytes sum, back;
+  add_mod256_into(sum, v, k);
+  EXPECT_EQ(sum, (Bytes{0x00, 0x00, 0x00, 0x10}));
+  sub_mod256_into(back, sum, k);
+  EXPECT_EQ(back, v);
+  sub_mod256_into(sum, v, k);
+  add_mod256_into(back, sum, k);
+  EXPECT_EQ(back, v);
 }
 
 TEST(Bytes, XorIsInvolution) {
   const Bytes v{0xaa, 0x55};
   const Bytes k{0x0f, 0xf0};
-  EXPECT_EQ(xor_bytes(xor_bytes(v, k), k), v);
+  Bytes once, twice;
+  xor_bytes_into(once, v, k);
+  xor_bytes_into(twice, once, k);
+  EXPECT_EQ(twice, v);
 }
 
 TEST(Bytes, KeyedOpsCycleTheKey) {
   const Bytes v{1, 2, 3, 4, 5};
   const Bytes key{10, 20};
-  const Bytes out = add_key(v, key);
+  Bytes out = v;
+  add_key_in(out, key);
   EXPECT_EQ(out, (Bytes{11, 22, 13, 24, 15}));
-  EXPECT_EQ(sub_key(out, key), v);
+  sub_key_in(out, key);
+  EXPECT_EQ(out, v);
+  xor_key_in(out, key);
+  EXPECT_EQ(out, (Bytes{1 ^ 10, 2 ^ 20, 3 ^ 10, 4 ^ 20, 5 ^ 10}));
+  xor_key_in(out, key);
+  EXPECT_EQ(out, v);
 }
 
 TEST(Bytes, BigEndianRoundTrip) {
