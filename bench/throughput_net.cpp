@@ -2,10 +2,11 @@
 // Channel path.
 //
 // The net subsystem's cost over the streaming API is two kernel crossings
-// per hop (write + epoll-driven read) plus the event-loop dispatch. This
-// bench measures full echo round trips — client serialize+frame, server
-// reassemble+parse, server re-serialize (the echo), client reassemble+
-// parse — first through a pair of in-memory Channels (no sockets at all),
+// per read slice (epoll-driven read + one write for all of the slice's
+// replies) plus the event-loop dispatch. This bench measures full echo
+// round trips — client serialize+frame, server reassemble+parse, server
+// re-serialize (the echo), client reassemble+parse — first through a
+// pair of in-memory Channels (no sockets at all),
 // then through a real epoll Server on loopback TCP. Both paths do exactly
 // 2 serializations + 2 parses per message, so the ratio isolates what the
 // transport costs:

@@ -102,36 +102,26 @@ Status Connection::send(const Inst& message, std::uint64_t msg_seed) {
   auto framed = channel_.send(message, msg_seed);
   if (!framed) return Unexpected(framed.error());
 
-  // Fast path: nothing queued, so the kernel may take the frame directly.
-  std::size_t off = 0;
-  if (queued() == 0) {
-    while (off < framed->size()) {
-      // MSG_NOSIGNAL: a peer that vanished must surface as EPIPE on this
-      // connection, not as a process-wide SIGPIPE.
-      const ssize_t n = ops().send(fd_.get(), framed->data() + off,
-                                   framed->size() - off, MSG_NOSIGNAL);
-      if (n > 0) {
-        off += static_cast<std::size_t>(n);
-        stats_.bytes_out += static_cast<std::uint64_t>(n);
-        continue;
+  const bool was_empty = queued() == 0;
+  append(outbuf_, *framed);
+  // Inside a read slice the frame waits for the slice-end flush, so all of
+  // the slice's replies leave in one write. Outside one nothing else will
+  // flush it: a frame that found the queue empty goes to the kernel now,
+  // and EPOLLOUT takes whatever the kernel leaves.
+  if (!in_slice_) {
+    if (was_empty) {
+      if (Status s = flush_out(); !s) {
+        fail_close(transport_error(s.error().message));
+        return Unexpected("send failed: connection closed");
       }
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      fail_close(transport_error("write: " +
-                                 std::string(std::strerror(errno))));
-      return Unexpected("send failed: connection closed");
     }
+    if (queued() > 0) want_write(true);
   }
-  if (off > 0) metrics_.bytes_out.add(off);
-  if (off < framed->size()) {
-    append(outbuf_, framed->subspan(off));
-    want_write(true);
-    if (!writable() && !above_watermark_) {
-      above_watermark_ = true;
-      metrics_.backpressure.add(1);
-      obs::Tracer::global().record(trace_id_, obs::TraceEvent::Backpressure,
-                                   queued());
-    }
+  if (!writable() && !above_watermark_) {
+    above_watermark_ = true;
+    metrics_.backpressure.add(1);
+    obs::Tracer::global().record(trace_id_, obs::TraceEvent::Backpressure,
+                                 queued());
   }
   ++stats_.messages_out;
   metrics_.messages_out.add(1);
@@ -211,13 +201,20 @@ void Connection::handle_readable() {
         config_.capture->record_in(
             BytesView(read_buf_).first(static_cast<std::size_t>(n)));
       }
-      // Frame latency per readable slice: decode + parse of everything this
-      // read delivered. Two clock reads per recv(), so the cost is tied to
-      // syscall rate, not message rate.
+      // Frame latency per readable slice: decode, parse and handlers for
+      // everything this read delivered, not the flush that follows. Two
+      // clock reads per recv(), so the cost is tied to syscall rate, not
+      // message rate.
       const std::uint64_t t0 = obs::now_ns();
+      in_slice_ = true;
       channel_.on_bytes(BytesView(read_buf_).first(static_cast<std::size_t>(n)));
       pump_receive();
+      in_slice_ = false;
       metrics_.frame_ns.record(obs::now_ns() - t0);
+      // The slice's replies leave together, through the EPOLLOUT path's own
+      // bookkeeping: a flush that skipped its watermark hysteresis would
+      // never fire on_writable when the kernel takes the whole queue.
+      if (state_ != State::Closed && queued() > 0) handle_writable();
       if (state_ != State::Open) return;
       if (static_cast<std::size_t>(n) < read_buf_.size()) return;
       continue;  // the slice was full — more may be pending
@@ -254,7 +251,10 @@ void Connection::handle_writable() {
     if (writable_cb_ && state_ == State::Open) writable_cb_(*this);
     if (state_ == State::Closed) return;
   }
-  if (queued() > 0) return;
+  if (queued() > 0) {
+    want_write(true);  // the slice-end flush arrives with EPOLLOUT unarmed
+    return;
+  }
   if (state_ == State::Draining) {
     do_close(nullptr);
     return;
@@ -274,18 +274,24 @@ void Connection::pump_receive() {
   if (channel_.failed()) {
     // A framing error is sticky and unrecoverable for a connection (no
     // resync policy over TCP: the peer is speaking a different protocol).
+    // The replies to the messages before the bad frame still go out, as
+    // far as the kernel takes them.
+    (void)flush_out();
     fail_close(Error(channel_.error()));
   }
 }
 
 Status Connection::flush_out() {
   while (outhead_ < outbuf_.size()) {
+    // MSG_NOSIGNAL: a peer that vanished must surface as EPIPE on this
+    // connection, not as a process-wide SIGPIPE.
     const ssize_t n = ops().send(fd_.get(), outbuf_.data() + outhead_,
                                  outbuf_.size() - outhead_, MSG_NOSIGNAL);
     if (n > 0) {
       outhead_ += static_cast<std::size_t>(n);
       stats_.bytes_out += static_cast<std::uint64_t>(n);
       metrics_.bytes_out.add(static_cast<std::uint64_t>(n));
+      metrics_.writes.add(1);
       touch();
       continue;
     }

@@ -5,17 +5,23 @@
 // Channel on top of both. It adds what real sockets force on the streaming
 // API and an in-memory byte stream never shows:
 //
-//   * a write queue — send() serializes and frames through the channel,
-//     writes as much as the kernel takes, queues the rest, and re-arms
-//     EPOLLOUT until the queue drains; writable()/on_writable expose a
-//     high-watermark backpressure signal so producers stop queueing
-//     unboundedly against a slow peer;
+//   * a write queue — send() serializes and frames through the channel
+//     into the queue. Replies sent from on_message wait until the read
+//     slice's handlers have all run, then leave in one write; any other
+//     send is written at once when nothing is queued ahead of it. Whatever
+//     the kernel does not take stays queued and EPOLLOUT stays armed until
+//     the queue drains; writable()/on_writable expose a high-watermark
+//     backpressure signal so producers stop queueing unboundedly against a
+//     slow peer;
 //   * read-chunk delivery — readiness-driven reads feed Channel::on_bytes
 //     in read_chunk slices, and every complete message is handed to
 //     on_message (parse errors per message included: the stream continues
 //     past them, exactly as the Channel contract says);
-//   * close semantics — close() flushes the queue then closes (graceful),
-//     abort() drops it and closes now; a peer that disappears mid-frame is
+//   * close semantics — close() flushes the queue then closes (graceful;
+//     from on_message, the slice's replies go out before the FIN), abort()
+//     drops it and closes now (from on_message, the slice's replies are
+//     dropped with it); a framing error closes after writing the replies
+//     to the messages before it; a peer that disappears mid-frame is
 //     reported through the existing ErrorKind taxonomy: the close error is
 //     Truncated (the stream ended before the message did), never Malformed;
 //   * an idle timeout — a connection with no traffic for idle_timeout gets
@@ -124,18 +130,26 @@ class Connection {
   /// the handlers are installed.
   Status open();
 
-  /// Serializes + frames `message` through the channel and writes it,
-  /// queueing whatever the kernel does not take immediately. Fails when
-  /// serialization fails or the connection is closed/draining — never
+  /// Serializes + frames `message` through the channel into the write
+  /// queue. Called from on_message, it makes no syscall: the read slice's
+  /// replies are written together once its handlers have run, and a
+  /// transport error in that write closes the connection as Truncated
+  /// ("write: ...") instead of failing this call. Called anywhere else, it
+  /// writes at once if the queue was empty and queues whatever the kernel
+  /// does not take. Fails when serialization fails, the connection is
+  /// closed/draining, or (outside on_message) the write fails — never
   /// because of backpressure (check writable() to throttle).
   Status send(const Inst& message, std::uint64_t msg_seed);
 
   /// Flushes the write queue, then closes. With an empty queue this closes
   /// immediately; otherwise reading stops and the close completes when the
   /// queue drains. The close handler runs either way (err == nullptr).
+  /// From on_message the queue holds the read slice's replies so far, so
+  /// they reach the peer before the FIN.
   void close();
 
-  /// Closes now, discarding any queued bytes (err == nullptr).
+  /// Closes now, discarding any queued bytes (err == nullptr) — from
+  /// on_message, the read slice's replies so far included.
   void abort();
 
   bool open_for_traffic() const { return state_ == State::Open; }
@@ -193,6 +207,7 @@ class Connection {
   Bytes outbuf_;              // pending wire bytes [outhead_, size)
   std::size_t outhead_ = 0;   // consumed prefix of outbuf_
   bool want_write_ = false;   // EPOLLOUT currently armed
+  bool in_slice_ = false;     // a read slice's handlers are running
   bool above_watermark_ = false;
   Bytes read_buf_;            // read() landing zone, read_chunk bytes
 

@@ -28,6 +28,8 @@ NetMetrics* make_net(const std::string& shard) {
                 "Frames decoded and parsed into messages.", l),
       r.counter("protoobf_net_messages_out_total",
                 "Messages serialized and framed for send.", l),
+      r.counter("protoobf_net_writes_total",
+                "send(2) calls that moved bytes.", l),
       r.counter("protoobf_net_close_clean_total",
                 "Closes without a transport or parse error.", l),
       r.counter("protoobf_net_close_truncated_total",
@@ -37,7 +39,8 @@ NetMetrics* make_net(const std::string& shard) {
       r.counter("protoobf_net_backpressure_total",
                 "Send-queue high-watermark trips.", l),
       r.histogram("protoobf_net_frame_ns",
-                  "Decode+parse latency per readable slice, nanoseconds.", l),
+                  "Decode, parse and message handlers per read slice, "
+                  "excluding the slice's write, nanoseconds.", l),
   };
 }
 

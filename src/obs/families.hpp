@@ -29,11 +29,13 @@ struct NetMetrics {
   Counter& bytes_out;       // payload bytes sent
   Counter& messages_in;     // frames decoded + parsed to messages
   Counter& messages_out;    // messages serialized + framed for send
+  Counter& writes;          // send(2) calls that moved bytes
   Counter& close_clean;     // close taxonomy: graceful / local close
   Counter& close_truncated; // transport-level failures (ErrorKind::Truncated)
   Counter& close_malformed; // framing/parse failures (ErrorKind::Malformed)
   Counter& backpressure;    // send-queue high-watermark trips
-  Histogram& frame_ns;      // decode+parse latency per readable wakeup slice
+  Histogram& frame_ns;      // decode, parse and handlers per read slice
+                            // (the slice's write is not included)
 
   static NetMetrics& for_shard(std::size_t shard);
   static NetMetrics& client();

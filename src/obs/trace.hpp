@@ -22,8 +22,10 @@ namespace protoobf::obs {
 enum class TraceEvent : std::uint8_t {
   Dial = 1,       // outbound connect issued (arg: attempt #)
   Accept,         // inbound connection adopted (arg: shard)
-  FrameIn,        // frame decoded + parsed (arg: payload bytes)
-  FrameOut,       // message framed for send (arg: payload bytes)
+  FrameIn,        // frame decoded + parsed (arg: the message's 1-based
+                  // index on its connection, i.e. messages in so far)
+  FrameOut,       // message framed for send (arg: framed bytes, prefix or
+                  // obfuscated frame included)
   ParseError,     // framing/parse verdict went Malformed (arg: buffered bytes)
   Backpressure,   // send queue crossed the high watermark (arg: queued bytes)
   FaultInjected,  // harness injected a fault (arg: FaultKind ordinal)

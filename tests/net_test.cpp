@@ -7,7 +7,10 @@
 //   * a peer that disappears mid-frame — at any random cut point — is
 //     reported as Truncated on close, never as Malformed;
 //   * a slow reader trips the high-watermark backpressure signal and the
-//     writable callback fires once the queue drains.
+//     writable callback fires once the queue drains;
+//   * the replies to one read slice leave in one write, and they reach the
+//     peer before the FIN when a handler closes after replying or a bad
+//     frame follows the messages they answer.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -27,6 +30,7 @@
 #include "net/connector.hpp"
 #include "runtime/parse.hpp"
 #include "net/server.hpp"
+#include "obs/families.hpp"
 #include "util/rng.hpp"
 
 namespace protoobf {
@@ -82,10 +86,17 @@ bool wait_for(const std::function<bool()>& cond,
 }
 
 /// Blocking loopback client socket (the "simple peer" side of the tests —
-/// the framework side under test is the nonblocking server).
+/// the framework side under test is the nonblocking server). Its recv()
+/// gives up after 10 s, so a server that never replies or closes fails the
+/// test's assertions instead of wedging it.
 int blocking_client(std::uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
+  const timeval recv_timeout{10, 0};
+  EXPECT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &recv_timeout,
+                         sizeof recv_timeout),
+            0)
+      << std::strerror(errno);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
@@ -412,6 +423,175 @@ TEST(NetEcho, EchoBytesAreIdenticalToTheInMemoryChannelPath) {
   }
   EXPECT_EQ(echoed, expected_stream);
   ::close(fd);
+  server->stop();
+}
+
+// --- one write per read slice -----------------------------------------------
+
+/// The real transport, counting the server's syscalls: recv calls that
+/// returned bytes, every send call, and the send calls that moved bytes.
+class CountingOps : public SocketOps {
+ public:
+  ssize_t recv(int fd, void* buf, std::size_t len) override {
+    const ssize_t n = SocketOps::recv(fd, buf, len);
+    if (n > 0) reads.fetch_add(1);
+    return n;
+  }
+  ssize_t send(int fd, const void* buf, std::size_t len, int flags) override {
+    sends.fetch_add(1);
+    const ssize_t n = SocketOps::send(fd, buf, len, flags);
+    if (n > 0) writes.fetch_add(1);
+    return n;
+  }
+
+  std::atomic<std::uint64_t> reads{0};
+  std::atomic<std::uint64_t> sends{0};
+  std::atomic<std::uint64_t> writes{0};
+};
+
+TEST(NetEcho, EachReadSliceIsAnsweredWithOneWrite) {
+  auto protocol = compile(2018, 2);
+  auto g = Framework::load_spec(kSpec).value();
+  CountingOps ops;
+  Server::Config cfg;
+  cfg.connection.ops = &ops;
+  obs::Counter& shard_writes = obs::NetMetrics::for_shard(0).writes;
+  const std::uint64_t shard_writes_before = shard_writes.value();
+  auto server = echo_server(protocol, cfg);
+
+  constexpr std::size_t kMessages = 64;
+  Rng rng(29);
+  std::vector<Message> sent;
+  for (std::size_t i = 0; i < kMessages; ++i) {
+    sent.push_back(random_message(g, rng));
+    ASSERT_TRUE(protocol->canonicalize(sent.back().root()).ok());
+  }
+
+  // What the server's send path must emit, built as in
+  // EchoBytesAreIdenticalToTheInMemoryChannelPath: batching the writes
+  // must not change a byte of the stream.
+  Session replica_session(protocol);
+  LengthPrefixFramer replica_framer;
+  Channel replica(replica_session, replica_framer);
+  Bytes expected_stream;
+  for (std::size_t i = 0; i < kMessages; ++i) {
+    auto framed = replica.send(sent[i].root(), i + 1);
+    ASSERT_TRUE(framed.ok()) << framed.error().message;
+    append(expected_stream, *framed);
+  }
+
+  // All 64 requests in one write, so they arrive in a handful of slices.
+  Session client_session(protocol);
+  LengthPrefixFramer client_framer;
+  Channel client_channel(client_session, client_framer);
+  Bytes requests;
+  for (std::size_t i = 0; i < kMessages; ++i) {
+    auto framed = client_channel.send(sent[i].root(), 300 + i);
+    ASSERT_TRUE(framed.ok());
+    append(requests, *framed);
+  }
+  const int fd = blocking_client(server->port());
+  ASSERT_EQ(::send(fd, requests.data(), requests.size(), 0),
+            static_cast<ssize_t>(requests.size()));
+
+  Bytes echoed;
+  Byte buf[4096];
+  while (echoed.size() < expected_stream.size()) {
+    const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
+    ASSERT_GT(n, 0) << "no echo after " << echoed.size() << "/"
+                    << expected_stream.size() << " bytes";
+    echoed.insert(echoed.end(), buf, buf + n);
+  }
+  EXPECT_EQ(echoed, expected_stream);
+  ::close(fd);
+  server->stop();  // joins the loop: the counters below are final
+
+  EXPECT_GE(ops.reads.load(), 1u);
+  EXPECT_LE(ops.sends.load(), ops.reads.load())
+      << "more writes than read slices";
+  EXPECT_LT(ops.sends.load(), kMessages) << "one write per reply";
+  EXPECT_EQ(shard_writes.value() - shard_writes_before, ops.writes.load());
+}
+
+/// Writes `count` random requests to a fresh client in one ::send, plus
+/// `trailer`, and reads the server's echoes until EOF. Returns how many
+/// whole echoes arrived; each must equal its request, and the FIN must not
+/// cut one short.
+std::size_t echoes_before_fin(
+    const std::shared_ptr<const ObfuscatedProtocol>& protocol,
+    std::uint16_t port, std::size_t count, BytesView trailer) {
+  auto g = Framework::load_spec(kSpec).value();
+  Rng rng(31);
+  std::vector<Message> sent;
+  Session session(protocol);
+  LengthPrefixFramer framer;
+  Channel channel(session, framer);
+  Bytes requests;
+  for (std::size_t i = 0; i < count; ++i) {
+    sent.push_back(random_message(g, rng));
+    EXPECT_TRUE(protocol->canonicalize(sent.back().root()).ok());
+    auto framed = channel.send(sent.back().root(), 40 + i);
+    EXPECT_TRUE(framed.ok());
+    if (framed.ok()) append(requests, *framed);
+  }
+  append(requests, trailer);
+  const int fd = blocking_client(port);
+  EXPECT_EQ(::send(fd, requests.data(), requests.size(), 0),
+            static_cast<ssize_t>(requests.size()));
+
+  std::size_t received = 0;
+  Byte buf[4096];
+  for (;;) {
+    const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
+    EXPECT_GE(n, 0) << std::strerror(errno);
+    if (n <= 0) break;
+    channel.on_bytes(BytesView(buf, static_cast<std::size_t>(n)));
+    while (auto m = channel.receive()) {
+      EXPECT_TRUE(m->ok() && received < count &&
+                  ast::equal(***m, sent[received].root()))
+          << "echo " << received << " is not its request";
+      ++received;
+    }
+  }
+  ::close(fd);
+  EXPECT_EQ(channel.reader().buffered(), 0u) << "FIN cut an echo short";
+  return received;
+}
+
+TEST(NetEcho, HandlerThatRepliesThenClosesSendsTheReplyBeforeTheFin) {
+  auto protocol = compile(2018, 2);
+  constexpr std::size_t kMessages = 3;
+
+  // Echoes every message and closes gracefully after the last one, from
+  // inside the handler — while the slice's replies are still queued.
+  Server server(protocol, length_prefix_framer_factory(), {});
+  server.on_accept([](Connection& conn) {
+    conn.on_message([](Connection& c, Expected<InstPtr> msg) {
+      ASSERT_TRUE(msg.ok()) << msg.error().message;
+      ASSERT_TRUE(c.send(**msg, c.stats().messages_in).ok());
+      if (c.stats().messages_in == kMessages) c.close();
+    });
+  });
+  ASSERT_TRUE(server.start().ok());
+  EXPECT_EQ(echoes_before_fin(protocol, server.port(), kMessages, {}),
+            kMessages);
+  server.stop();
+}
+
+TEST(NetEcho, FramingErrorClosesAfterTheRepliesToTheMessagesBeforeIt) {
+  auto protocol = compile(2018, 2);
+  std::atomic<bool> saw_malformed{false};
+  std::atomic<std::uint64_t> closes{0};
+  auto server = echo_server(protocol, {}, &saw_malformed, &closes);
+
+  // Three good requests, then a length prefix far over the framer's limit
+  // in the same slice: the replies already queued still go out.
+  const Byte bad_prefix[4] = {0xFF, 0xFF, 0xFF, 0xFF};
+  EXPECT_EQ(echoes_before_fin(protocol, server->port(), 3,
+                              BytesView(bad_prefix, sizeof bad_prefix)),
+            3u);
+  EXPECT_TRUE(wait_for([&] { return closes.load() == 1; }));
+  EXPECT_TRUE(saw_malformed.load()) << "the bad prefix closed as Truncated";
   server->stop();
 }
 
