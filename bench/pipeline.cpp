@@ -100,15 +100,11 @@ Status serialize_staged(const ObfuscatedProtocol& p,
   clock.mark(ns[0]);
   InstPtr tree = ast::copy(&arena.nodes(), message);
   clock.mark(ns[1]);
-  if (Status s = canonicalize(p.original(), *tree, &canon, &arena.scopes(),
-                              &derive);
-      !s) {
+  if (Status s = canonicalize(p.original(), *tree, &canon, &derive); !s) {
     return s;
   }
   clock.mark(ns[2]);
-  if (Status s = check_presence(p.original(), *tree, &arena.scopes()); !s) {
-    return s;
-  }
+  if (Status s = check_presence(p.original(), canon, *tree); !s) return s;
   clock.mark(ns[3]);
   derive.streams.reset(msg_seed, p.journal().size());
   if (Status s = forward_program(tree, p.program(), p.journal(),
@@ -118,8 +114,7 @@ Status serialize_staged(const ObfuscatedProtocol& p,
   }
   clock.mark(ns[4]);
   if (Status s = fix_holders(p.wire_graph(), p.journal(), p.holders(), *tree,
-                             msg_seed, &arena.nodes(), &arena.scopes(),
-                             &derive);
+                             msg_seed, &arena.nodes(), &derive);
       !s) {
     return s;
   }
@@ -137,7 +132,7 @@ Expected<InstPtr> parse_staged(const ObfuscatedProtocol& p,
                                StageNs<kParseStages.size()>& ns) {
   StageClock clock;
   auto tree = parse_wire(p.wire_graph(), p.journal(), p.holders(), wire,
-                         &arena.scratch(), &arena.scopes(), &arena.nodes());
+                         &arena.scratch(), &arena.nodes());
   clock.mark(ns[0]);
   if (!tree) return tree;
   if (Status s = inverse_program(*tree, p.program(), p.journal(),
@@ -150,7 +145,7 @@ Expected<InstPtr> parse_staged(const ObfuscatedProtocol& p,
     return Unexpected(s.error());
   }
   clock.mark(ns[2]);
-  if (Status s = canonicalize(p.original(), **tree, &canon, &arena.scopes(),
+  if (Status s = canonicalize(p.original(), **tree, &canon,
                               &arena.derive());
       !s) {
     return Unexpected(s.error());

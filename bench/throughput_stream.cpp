@@ -80,7 +80,6 @@ frame: seq end {
   }
   ObfuscatedFramer::Config cfg;
   cfg.payload_path = "fbody";
-  cfg.resumable_decode = resumable;
   auto framer = ObfuscatedFramer::create(
       std::make_shared<const ObfuscatedProtocol>(std::move(*compiled)), cfg);
   if (!framer) {
@@ -106,6 +105,9 @@ frame: seq end {
   const auto start = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < stream.size(); ++i) {
     reader.feed(BytesView(stream).subspan(i, 1));
+    // The restart baseline drops the checkpoint, so every attempt starts
+    // over at byte 0.
+    if (!resumable) (*framer)->invalidate_decode_state();
     while (reader.next_frame()) ++got;
     if (reader.failed()) {
       std::fprintf(stderr, "delim trickle failed: %s\n",

@@ -39,8 +39,8 @@ FuzzRunner::FuzzRunner(const ObfuscatedProtocol& protocol, Config config)
 FuzzRunner::Attempt FuzzRunner::parse_full(BytesView wire) {
   Attempt a;
   if (config_.whole_message) {
-    auto tree = protocol_->parse(wire, &arena_.scratch(), &arena_.scopes(),
-                                 &arena_.nodes(), &arena_.derive());
+    auto tree = protocol_->parse(wire, &arena_.scratch(), &arena_.nodes(),
+                                 &arena_.derive());
     if (tree.ok()) {
       a.verdict.kind = Verdict::Kind::Parsed;
       a.verdict.consumed = wire.size();
@@ -51,10 +51,9 @@ FuzzRunner::Attempt FuzzRunner::parse_full(BytesView wire) {
     return a;
   }
   std::size_t consumed = 0;
-  auto tree =
-      protocol_->parse_prefix(wire, &consumed, &arena_.scratch(),
-                              &arena_.scopes(), &arena_.nodes(),
-                              &arena_.derive(), /*resume=*/nullptr);
+  auto tree = protocol_->parse_prefix(wire, &consumed, &arena_.scratch(),
+                                     &arena_.nodes(), &arena_.derive(),
+                                     /*resume=*/nullptr);
   if (tree.ok()) {
     a.verdict.kind = Verdict::Kind::Parsed;
     a.verdict.consumed = consumed;
@@ -80,9 +79,9 @@ FuzzRunner::Attempt FuzzRunner::replay_chunked(BytesView wire, Rng& chunks) {
                            : chunks.between(1, config_.max_chunk);
     fed = std::min(wire.size(), fed + step);
     std::size_t consumed = 0;
-    auto tree = protocol_->parse_prefix(
-        wire.first(fed), &consumed, &arena_.scratch(), &arena_.scopes(),
-        &arena_.nodes(), &arena_.derive(), &resume_);
+    auto tree = protocol_->parse_prefix(wire.first(fed), &consumed,
+                                        &arena_.scratch(), &arena_.nodes(),
+                                        &arena_.derive(), &resume_);
     if (tree.ok()) {
       a.verdict.kind = Verdict::Kind::Parsed;
       a.verdict.consumed = consumed;

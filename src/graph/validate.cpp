@@ -69,6 +69,11 @@ Status check_reference(const Graph& g, NodeId from, NodeId to,
                              "' does not precede the dependant in parse "
                              "order");
   }
+  // An enclosing target is not complete when its dependant needs it.
+  if (in_subtree(g, from, to)) {
+    return fail(g, from, std::string(what) + " reference '" +
+                             g.path_of(to) + "' encloses the dependant");
+  }
   // The reference must be evaluable whenever the dependant is parsed: every
   // Optional ancestor of the target must also enclose the dependant.
   for (NodeId opt = optional_ancestor(g, to); opt != kNoNode;

@@ -51,44 +51,49 @@ Status fill_const(const Node& n, Inst& inst) {
 }
 
 /// Collects (holder, measured) pairs in parse order against `graph` into
-/// `pairs` (cleared first, capacity reused across messages), calling
-/// `visit(inst, node)` on every instance as the walk reaches it. Every
-/// pair links to the first pair of its holder instance, which the holder's
-/// scope entry remembers.
+/// the scratch's `pairs` (cleared first, capacity reused across messages),
+/// calling `visit(inst, node)` on every instance as the walk reaches it.
+/// Every pair links to the first pair of its holder instance: a holder
+/// instance's pairs come one after another among its node's pairs, because
+/// validate() keeps every dependant inside the elements that enclose the
+/// holder, so each holder node's latest pair is the one to link from.
 template <typename Visit>
 Status collect_pairs(const Graph& graph, const HolderTable& table, Inst& root,
-                     std::vector<DeriveRef>& pairs, ScopeChain* scopes,
-                     Visit&& visit) {
+                     DeriveScratch& scratch, Visit&& visit) {
+  std::vector<DeriveRef>& pairs = scratch.pairs;
   pairs.clear();
   // One right-sized allocation instead of a doubling climb on the first
   // call (arena-held scratch keeps the capacity across messages).
   if (pairs.capacity() == 0) pairs.reserve(16);
-  return walk_scoped(
-      graph, root,
-      [&](Inst& inst, ScopeChain& chain) -> Status {
-        const Node& n = graph.node(inst.schema);
-        if (Status s = visit(inst, n); !s) return s;
-        if (n.boundary != BoundaryKind::Length &&
-            n.boundary != BoundaryKind::Counter) {
-          return Status::success();
-        }
-        ScopeChain::Entry* holder = chain.find(n.ref);
-        if (holder == nullptr) {
-          return Unexpected("reference target '" + graph.node(n.ref).name +
-                            "' not in scope of '" + n.name + "'");
-        }
-        const HolderInfo* info = table.find_by_top(n.ref);
-        if (info == nullptr) {
-          return Unexpected("no lineage for holder '" +
-                            graph.node(n.ref).name + "'");
-        }
-        if (holder->mark == ScopeChain::kNoMark) holder->mark = pairs.size();
-        pairs.push_back({holder->inst, &inst, info, holder->mark,
-                         DeriveRef::kUnmeasured,
-                         n.boundary == BoundaryKind::Counter});
-        return Status::success();
-      },
-      scopes);
+  scratch.latest.assign(table.holders.size(), DeriveScratch::kNoPair);
+  const auto pre = [&](Inst& inst, const Ancestor* parent) -> Status {
+    const Node& n = graph.node(inst.schema);
+    if (Status s = visit(inst, n); !s) return s;
+    if (n.boundary != BoundaryKind::Length &&
+        n.boundary != BoundaryKind::Counter) {
+      return Status::success();
+    }
+    const HolderInfo* info = table.find_by_top(n.ref);
+    if (info == nullptr) {
+      return Unexpected("no lineage for holder '" + graph.node(n.ref).name +
+                        "'");
+    }
+    Inst* holder = resolve(info->route, parent);
+    if (holder == nullptr) {
+      return Unexpected("reference target '" + graph.node(n.ref).name +
+                        "' not in scope of '" + n.name + "'");
+    }
+    std::size_t& latest = scratch.latest[info - table.holders.data()];
+    const std::size_t first =
+        latest != DeriveScratch::kNoPair && pairs[latest].holder == holder
+            ? pairs[latest].first
+            : pairs.size();
+    latest = pairs.size();
+    pairs.push_back({holder, &inst, info, first, DeriveRef::kUnmeasured,
+                     n.boundary == BoundaryKind::Counter});
+    return Status::success();
+  };
+  return walk_with_ancestors(root, nullptr, pre);
 }
 
 /// The one derive pass: visits the scratch's pairs from last to first,
@@ -137,34 +142,33 @@ Status fill_consts(const Graph& graph, Inst& root) {
   return Status::success();
 }
 
-Status check_presence(const Graph& graph, Inst& root, ScopeChain* scopes) {
-  return walk_scoped(
-      graph, root,
-      [&](Inst& inst, ScopeChain& chain) -> Status {
-        const Node& n = graph.node(inst.schema);
-        if (n.type != NodeType::Optional ||
-            n.condition.kind == Condition::Kind::Always) {
-          return Status::success();
-        }
-        const Inst* ref = chain.lookup(n.condition.ref);
-        if (ref == nullptr) {
-          return Unexpected("condition target of '" + n.name +
-                            "' not in scope");
-        }
-        const bool expected = n.condition.evaluate(ref->value);
-        if (expected != inst.present) {
-          return Unexpected("optional '" + n.name + "' is " +
-                            (inst.present ? "present" : "absent") +
-                            " but its condition evaluates to " +
-                            (expected ? "true" : "false"));
-        }
-        return Status::success();
-      },
-      scopes);
+Status check_presence(const Graph& graph, const HolderTable& table,
+                      Inst& root) {
+  const auto pre = [&](Inst& inst, const Ancestor* parent) -> Status {
+    const Node& n = graph.node(inst.schema);
+    if (n.type != NodeType::Optional ||
+        n.condition.kind == Condition::Kind::Always) {
+      return Status::success();
+    }
+    const HolderInfo* info = table.find_reference(n.condition.ref);
+    const Inst* ref = info != nullptr ? resolve(info->route, parent) : nullptr;
+    if (ref == nullptr) {
+      return Unexpected("condition target of '" + n.name + "' not in scope");
+    }
+    const bool expected = n.condition.evaluate(ref->value);
+    if (expected != inst.present) {
+      return Unexpected("optional '" + n.name + "' is " +
+                        (inst.present ? "present" : "absent") +
+                        " but its condition evaluates to " +
+                        (expected ? "true" : "false"));
+    }
+    return Status::success();
+  };
+  return walk_with_ancestors(root, nullptr, pre);
 }
 
 Status canonicalize(const Graph& g1, Inst& root, const HolderTable* holders,
-                    ScopeChain* scopes, DeriveScratch* scratch) {
+                    DeriveScratch* scratch) {
   Expected<HolderTable> local_holders = HolderTable{};
   if (holders == nullptr) {
     local_holders = build_holder_table(g1, g1, {});
@@ -186,9 +190,7 @@ Status canonicalize(const Graph& g1, Inst& root, const HolderTable* holders,
     if (s) inst.value = encoded;
     return s;
   };
-  if (Status s =
-          collect_pairs(g1, *holders, root, scratch->pairs, scopes, seed);
-      !s) {
+  if (Status s = collect_pairs(g1, *holders, root, *scratch, seed); !s) {
     return s;
   }
   return derive_pass(g1, *scratch, [&](std::size_t, DeriveRef& pair) {
@@ -202,12 +204,12 @@ Status canonicalize(const Graph& g1, Inst& root, const HolderTable* holders,
 Status fix_holders(const Graph& wire, const Journal& journal,
                    const HolderTable& table, Inst& root,
                    std::uint64_t msg_seed, InstPool* pool,
-                   ScopeChain* scopes, DeriveScratch* scratch) {
+                   DeriveScratch* scratch) {
   DeriveScratch local_scratch;
   if (scratch == nullptr) scratch = &local_scratch;
   Bytes& encoded = scratch->encoded;
   if (Status s = collect_pairs(
-          wire, table, root, scratch->pairs, scopes,
+          wire, table, root, *scratch,
           [](Inst&, const Node&) { return Status::success(); });
       !s) {
     return s;

@@ -30,7 +30,6 @@
 
 #include "ast/ast.hpp"
 #include "graph/graph.hpp"
-#include "runtime/scope.hpp"
 #include "transform/exec.hpp"
 #include "transform/lineage.hpp"
 #include "util/bytes.hpp"
@@ -55,11 +54,15 @@ struct DeriveRef {
 /// Reusable scratch for the derive passes: an arena-held bundle re-derives
 /// without touching the heap. Not thread-safe, like the arena.
 struct DeriveScratch {
-  std::vector<DeriveRef> pairs;  // the pass's work list
-  Bytes encoded;                 // holder-encoding buffer
-  Bytes region;                  // a measured region, emitted to be sized
-  Bytes registers;               // fix_holders()' read-plan registers
-  EntryStreams streams;          // serialize's per-entry random streams
+  static constexpr std::size_t kNoPair = ~std::size_t{0};
+
+  std::vector<DeriveRef> pairs;     // the pass's work list
+  std::vector<std::size_t> latest;  // per holder of the table: its latest
+                                    // pair so far (kNoPair: none)
+  Bytes encoded;                    // holder-encoding buffer
+  Bytes region;                     // a measured region, emitted to be sized
+  Bytes registers;                  // fix_holders()' read-plan registers
+  EntryStreams streams;             // serialize's per-entry random streams
 };
 
 /// Fills empty constant fields; errors if a non-empty value contradicts the
@@ -67,21 +70,19 @@ struct DeriveScratch {
 Status fill_consts(const Graph& graph, Inst& root);
 
 /// Verifies every Optional's presence flag matches its condition evaluated
-/// on the (logical, canonicalized) tree. `scopes`, when given, supplies a
-/// reusable reference-scope table (reset first).
-Status check_presence(const Graph& graph, Inst& root,
-                      ScopeChain* scopes = nullptr);
+/// on the (logical, canonicalized) tree. `table` is build_holder_table(
+/// graph, graph, {}): the conditions resolve along its routes.
+Status check_presence(const Graph& graph, const HolderTable& table,
+                      Inst& root);
 
 /// Logical derivation: consts + length/count holders per G1 semantics.
 /// A Length region is measured by emitting it into the scratch's `region`
 /// buffer, so it fails with the same error emit() would. `holders`, when
 /// given, must equal build_holder_table(g1, g1, {}) (it is rebuilt when
-/// null); `scopes` is a reusable scope table for the pass's walk and
-/// `scratch` a reusable bundle for its work vectors and buffers (locals are
-/// used when null).
+/// null); `scratch` is a reusable bundle for the pass's work vectors and
+/// buffers (a local one is used when null).
 Status canonicalize(const Graph& g1, Inst& root,
                     const HolderTable* holders = nullptr,
-                    ScopeChain* scopes = nullptr,
                     DeriveScratch* scratch = nullptr);
 
 /// Wire derivation on the transformed tree: recomputes every holder from
@@ -90,11 +91,10 @@ Status canonicalize(const Graph& g1, Inst& root,
 /// an already-derived tree draws no node from `pool`. `msg_seed` keeps the
 /// replayed randomness deterministic per message; `pool`, when given,
 /// backs the rebuilt holder subtrees so steady-state sessions rebuild
-/// without heap traffic, and `scopes` the pass's walk.
+/// without heap traffic.
 Status fix_holders(const Graph& wire, const Journal& journal,
                    const HolderTable& table, Inst& root,
                    std::uint64_t msg_seed, InstPool* pool = nullptr,
-                   ScopeChain* scopes = nullptr,
                    DeriveScratch* scratch = nullptr);
 
 }  // namespace protoobf

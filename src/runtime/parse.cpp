@@ -26,27 +26,21 @@ struct Reader {
 class WireParser {
  public:
   WireParser(const Graph& wire, const Journal& journal,
-             const HolderTable& table, BufferPool* scratch,
-             ScopeChain* scopes, InstPool* nodes, bool prefix = false,
-             ParseResume* resume = nullptr)
+             const HolderTable& table, BufferPool* scratch, InstPool* nodes,
+             bool prefix = false, ParseResume* resume = nullptr)
       : wire_(wire),
         journal_(journal),
         table_(table),
         scratch_(scratch),
         nodes_(nodes),
         prefix_(prefix),
-        resume_(resume),
-        counting_(resume != nullptr),
-        checkpointing_(resume != nullptr && resume->enabled() && prefix),
-        scopes_(resume != nullptr && resume->enabled() && prefix
-                    ? resume->scope_chain()
-                    : (scopes != nullptr ? *scopes : local_scopes_)) {}
+        resume_(resume) {}
 
   Expected<InstPtr> parse(BytesView data, std::size_t* consumed = nullptr) {
     resuming_ = false;
     depth_ = 0;
-    if (counting_) ++resume_->mutable_stats().attempts;
-    if (checkpointing_) {
+    if (resume_ != nullptr) {
+      ++resume_->mutable_stats().attempts;
       if (resume_->active() && data.size() < resume_->suspended_size()) {
         // The buffer front shrank below the suspended attempt's window:
         // the checkpoint describes bytes that no longer exist. Start over.
@@ -57,14 +51,11 @@ class WireParser {
         ++resume_->mutable_stats().resumed;
       } else {
         resume_->discard();
-        scopes_.reset();
       }
-    } else {
-      scopes_.reset();
     }
     Reader reader{data, 0, data.size(), /*soft=*/true};
-    auto root = parse_node(wire_.root(), reader);
-    if (checkpointing_) {
+    auto root = parse_node(wire_.root(), reader, nullptr);
+    if (resume_ != nullptr) {
       if (root.ok()) {
         resume_->discard();  // checkpoint consumed by the completed parse
       } else if (root.error().truncated()) {
@@ -95,18 +86,24 @@ class WireParser {
     return Unexpected(what, r.pos);
   }
 
-  /// Runs `ref`'s read plan over its parsed subtree `target`, in registers
-  /// borrowed from the scratch pool, and hands the logical bytes to `use`.
+  /// Resolves `ref` from the dependant's parent `up` along its route, runs
+  /// its read plan over the parsed subtree in registers borrowed from the
+  /// scratch pool, and hands the logical bytes to `use`.
   template <typename T, typename Use>
-  Expected<T> read_reference(NodeId ref, const Inst& target, const Reader& r,
+  Expected<T> read_reference(NodeId ref, const Ancestor* up, const Reader& r,
                              Use&& use) const {
     const HolderInfo* info = table_.find_reference(ref);
     if (info == nullptr) {
       return fail(r, "reference target '" + wire_.node(ref).name +
                          "' has no lineage");
     }
+    const Inst* target = resolve(info->route, up);
+    if (target == nullptr) {
+      return fail(r, "reference target '" + wire_.node(ref).name +
+                         "' not yet parsed");
+    }
     Bytes registers = scratch_ != nullptr ? scratch_->acquire() : Bytes();
-    auto bytes = read_value(info->plan, target, journal_, registers);
+    auto bytes = read_value(info->plan, *target, journal_, registers);
     Expected<T> out =
         bytes ? use(*bytes, *info)
               : Expected<T>(fail(r, "reference target '" +
@@ -119,10 +116,10 @@ class WireParser {
 
   /// Logical scalar of a holder (length or count), decoded with the origin
   /// terminal's encoding.
-  Expected<std::uint64_t> scalar(NodeId ref, const Inst& holder,
+  Expected<std::uint64_t> scalar(NodeId ref, const Ancestor* up,
                                  const Reader& r) const {
     return read_reference<std::uint64_t>(
-        ref, holder, r,
+        ref, up, r,
         [&](BytesView bytes,
             const HolderInfo& info) -> Expected<std::uint64_t> {
           if (wire_.node(info.origin).encoding == Encoding::AsciiDec) {
@@ -133,15 +130,6 @@ class WireParser {
           if (bytes.size() > 8) return fail(r, "holder wider than 8 bytes");
           return be_decode(bytes);
         });
-  }
-
-  Expected<Inst*> lookup(NodeId ref, const Reader& r) {
-    Inst* found = scopes_.lookup(ref);
-    if (found == nullptr) {
-      return fail(r, "reference target '" + wire_.node(ref).name +
-                         "' not yet parsed");
-    }
-    return found;
   }
 
   /// Truncated unwind through a checkpointed node: park the partially
@@ -163,12 +151,14 @@ class WireParser {
     return err;
   }
 
-  Expected<InstPtr> parse_node(NodeId id, Reader& r) {
-    if (!checkpointing_ || !r.soft) {
+  /// `up` is the entry of the instance being parsed around this node (null
+  /// at the root): references resolve from it.
+  Expected<InstPtr> parse_node(NodeId id, Reader& r, const Ancestor* up) {
+    if (resume_ == nullptr || !r.soft) {
       // Hard regions are carved out of bytes already in the buffer, so
       // they complete or fail for good within one attempt — only the
       // stream-open (soft) spine ever needs a checkpoint.
-      return parse_node_impl(id, r, /*ignore_mirror=*/false, nullptr);
+      return parse_node_impl(id, r, /*ignore_mirror=*/false, nullptr, up);
     }
     auto& spine = resume_->spine();
     const std::size_t slot = depth_;
@@ -185,7 +175,8 @@ class WireParser {
       }
       if (slot + 1 == spine.size()) resuming_ = false;  // leaf: go live here
       r.pos = frame.partial != nullptr ? frame.pos : frame.start;
-      auto result = parse_node_impl(id, r, /*ignore_mirror=*/false, &frame);
+      auto result =
+          parse_node_impl(id, r, /*ignore_mirror=*/false, &frame, up);
       --depth_;
       if (result.ok()) spine.pop_back();  // children of a completed node
                                           // already popped theirs
@@ -198,14 +189,14 @@ class WireParser {
     frame.node = id;
     frame.start = r.pos;
     frame.pos = r.pos;
-    auto result = parse_node_impl(id, r, /*ignore_mirror=*/false, &frame);
+    auto result = parse_node_impl(id, r, /*ignore_mirror=*/false, &frame, up);
     --depth_;
     if (result.ok()) spine.pop_back();
     return result;
   }
 
   Expected<InstPtr> parse_node_impl(NodeId id, Reader& r, bool ignore_mirror,
-                                    ResumeFrame* frame) {
+                                    ResumeFrame* frame, const Ancestor* up) {
     const Node& n = wire_.node(id);
 
     // Region determination ---------------------------------------------------
@@ -216,8 +207,8 @@ class WireParser {
       // Re-entry on the reversed copy of a mirrored region: the buffer *is*
       // the region, whatever the declared boundary says.
       region_end = r.end;
-      return parse_in_region(n, id, r, region_end, stop_marker_rep,
-                             nullptr);
+      return parse_in_region(n, id, r, region_end, stop_marker_rep, nullptr,
+                             up);
     }
     if (frame != nullptr && frame->partial != nullptr) {
       // Restored mid-children composite. Only region-less nodes (open-End
@@ -225,8 +216,8 @@ class WireParser {
       // can suspend with a partial — everything with an intrinsic region
       // completes or fails hard once the region is carved — so re-entry
       // skips region determination and rejoins the child walk.
-      return parse_in_region(n, id, r, std::nullopt, stop_marker_rep,
-                             frame);
+      return parse_in_region(n, id, r, std::nullopt, stop_marker_rep, frame,
+                             up);
     }
     switch (n.boundary) {
       case BoundaryKind::Fixed:
@@ -248,9 +239,7 @@ class WireParser {
         break;
       }
       case BoundaryKind::Length: {
-        auto holder = lookup(n.ref, r);
-        if (!holder) return Unexpected(holder.error());
-        auto length = scalar(n.ref, **holder, r);
+        auto length = scalar(n.ref, up, r);
         if (!length) return Unexpected(length.error());
         if (*length > r.remaining()) {
           return fail_short(r, "length of '" + n.name + "' exceeds region",
@@ -284,7 +273,7 @@ class WireParser {
             from = std::max(from, frame->scan_from);
           }
           const auto found = find(r.data.first(r.end), n.delimiter, from);
-          if (counting_) {
+          if (resume_ != nullptr) {
             const std::size_t upto =
                 found ? *found + n.delimiter.size() : r.end;
             resume_->mutable_stats().scanned_bytes +=
@@ -324,7 +313,7 @@ class WireParser {
       // The reversed copy is a complete region: its end is hard.
       Reader mirror_reader{temp, 0, temp.size(), /*soft=*/false};
       auto inst = parse_node_impl(id, mirror_reader, /*ignore_mirror=*/true,
-                                  nullptr);
+                                  nullptr, up);
       const bool consumed = mirror_reader.pos == mirror_reader.end;
       if (scratch_ != nullptr) scratch_->release(std::move(temp));
       if (!inst) return inst;
@@ -333,17 +322,16 @@ class WireParser {
                            "' not fully consumed");
       }
       r.pos = *region_end;
-      scopes_.add(inst->get());
       return inst;
     }
 
-    return parse_in_region(n, id, r, region_end, stop_marker_rep, frame);
+    return parse_in_region(n, id, r, region_end, stop_marker_rep, frame, up);
   }
 
   Expected<InstPtr> parse_in_region(const Node& n, NodeId id, Reader& r,
                                     std::optional<std::size_t> region_end,
-                                    bool stop_marker_rep,
-                                    ResumeFrame* frame) {
+                                    bool stop_marker_rep, ResumeFrame* frame,
+                                    const Ancestor* up) {
     // Regions carved out of the input by an intrinsic boundary (fixed size,
     // length holder, delimiter scan) are hard: running short inside them is
     // a malformation. Only an `end` region inherits the reader's softness —
@@ -363,10 +351,11 @@ class WireParser {
       }
       case NodeType::Sequence: {
         if (!restored) inst = ast::make(nodes_, id);
+        const Ancestor here(inst.get(), up);
         if (region_end) {
           Reader sub{r.data, r.pos, *region_end, sub_soft};
           for (NodeId child : n.children) {
-            auto parsed = parse_node(child, sub);
+            auto parsed = parse_node(child, sub, &here);
             if (!parsed) return parsed;
             inst->children.push_back(std::move(*parsed));
           }
@@ -381,7 +370,7 @@ class WireParser {
               frame->next_child = ci;
               frame->pos = r.pos;
             }
-            auto parsed = parse_node(n.children[ci], r);
+            auto parsed = parse_node(n.children[ci], r, &here);
             if (!parsed) return stash(std::move(inst), frame, parsed);
             inst->children.push_back(std::move(*parsed));
           }
@@ -393,10 +382,8 @@ class WireParser {
         // the child was in flight; absent optionals complete in one attempt.
         bool present = true;
         if (!restored && n.condition.kind != Condition::Kind::Always) {
-          auto ref = lookup(n.condition.ref, r);
-          if (!ref) return Unexpected(ref.error());
           auto holds = read_reference<bool>(
-              n.condition.ref, **ref, r,
+              n.condition.ref, up, r,
               [&](BytesView bytes, const HolderInfo&) -> Expected<bool> {
                 return n.condition.evaluate(bytes);
               });
@@ -406,7 +393,8 @@ class WireParser {
         if (present) {
           if (!restored) inst = ast::make(nodes_, id);
           if (frame != nullptr) frame->pos = r.pos;
-          auto child = parse_node(n.children[0], r);
+          const Ancestor here(inst.get(), up);
+          auto child = parse_node(n.children[0], r, &here);
           if (!child) return stash(std::move(inst), frame, child);
           inst->children.push_back(std::move(*child));
         } else {
@@ -416,6 +404,7 @@ class WireParser {
       }
       case NodeType::Repetition: {
         if (!restored) inst = ast::make(nodes_, id);
+        const Ancestor here(inst.get(), up);
         if (stop_marker_rep) {
           while (true) {
             if (frame != nullptr) {
@@ -423,7 +412,7 @@ class WireParser {
               frame->pos = r.pos;
             }
             const BytesView w = r.window();
-            if (counting_) {
+            if (resume_ != nullptr) {
               resume_->mutable_stats().scanned_bytes +=
                   std::min(w.size(), n.delimiter.size());
             }
@@ -450,14 +439,14 @@ class WireParser {
                   fail_short(r, "unterminated repetition '" + n.name + "'",
                              n.delimiter.size()));
             }
-            auto element = parse_element(n.children[0], r, true);
+            auto element = parse_element(n.children[0], r, true, &here);
             if (!element) return stash(std::move(inst), frame, element);
             inst->children.push_back(std::move(*element));
           }
         } else {
           Reader sub{r.data, r.pos, *region_end, sub_soft};
           while (sub.pos < sub.end) {
-            auto element = parse_element(n.children[0], sub, true);
+            auto element = parse_element(n.children[0], sub, true, &here);
             if (!element) return element;
             inst->children.push_back(std::move(*element));
           }
@@ -470,9 +459,7 @@ class WireParser {
         if (frame != nullptr && frame->counted) {
           count = frame->total;
         } else {
-          auto holder = lookup(n.ref, r);
-          if (!holder) return Unexpected(holder.error());
-          auto scalar_count = scalar(n.ref, **holder, r);
+          auto scalar_count = scalar(n.ref, up, r);
           if (!scalar_count) return Unexpected(scalar_count.error());
           count = *scalar_count;
           if (frame != nullptr) {
@@ -481,6 +468,7 @@ class WireParser {
           }
         }
         if (!restored) inst = ast::make(nodes_, id);
+        const Ancestor here(inst.get(), up);
         for (std::uint64_t k = restored ? inst->children.size() : 0;
              k < count; ++k) {
           if (frame != nullptr) {
@@ -489,7 +477,7 @@ class WireParser {
           }
           // Tabular elements may be legitimately empty: the count, not
           // progress, terminates the loop.
-          auto element = parse_element(n.children[0], r, false);
+          auto element = parse_element(n.children[0], r, false, &here);
           if (!element) return stash(std::move(inst), frame, element);
           inst->children.push_back(std::move(*element));
         }
@@ -504,28 +492,14 @@ class WireParser {
       }
       r.pos = *region_end + n.delimiter.size();
     }
-
-    scopes_.add(inst.get());
     return inst;
   }
 
   Expected<InstPtr> parse_element(NodeId element, Reader& r,
-                                  bool require_progress) {
+                                  bool require_progress, const Ancestor* up) {
     const std::size_t before = r.pos;
-    // Rejoining an element left in flight by a suspension: its scope frame
-    // (with every committed sub-instance) survived the unwind, so only a
-    // genuinely fresh element opens a new one.
-    const bool rejoin = resuming_;
-    if (!rejoin) scopes_.push();
-    auto parsed = parse_node(element, r);
-    if (!parsed) {
-      // A suspension keeps the element scope alive for the retry; any
-      // other failure unwinds it as before (a malformed parse resets the
-      // whole chain with the checkpoint at the top level anyway).
-      if (!(checkpointing_ && parsed.error().truncated())) scopes_.pop();
-      return parsed;
-    }
-    scopes_.pop();
+    auto parsed = parse_node(element, r, up);
+    if (!parsed) return parsed;
     if (require_progress && r.pos == before) {
       return fail(r, "repetition element consumed no input");
     }
@@ -538,31 +512,25 @@ class WireParser {
   BufferPool* scratch_;
   InstPool* nodes_;
   bool prefix_ = false;
-  ParseResume* resume_ = nullptr;
-  bool counting_ = false;       // stats accounting requested
-  bool checkpointing_ = false;  // suspend/resume live for this parse
-  bool resuming_ = false;       // descending into a saved spine
-  std::size_t depth_ = 0;       // current open-spine depth
-  ScopeChain local_scopes_;
-  ScopeChain& scopes_;
+  ParseResume* resume_ = nullptr;  // suspend/resume and stats; prefix only
+  bool resuming_ = false;          // descending into a saved spine
+  std::size_t depth_ = 0;          // current open-spine depth
 };
 
 }  // namespace
 
 Expected<InstPtr> parse_wire(const Graph& wire, const Journal& journal,
                              const HolderTable& table, BytesView data,
-                             BufferPool* scratch, ScopeChain* scopes,
-                             InstPool* nodes) {
-  return WireParser(wire, journal, table, scratch, scopes, nodes).parse(data);
+                             BufferPool* scratch, InstPool* nodes) {
+  return WireParser(wire, journal, table, scratch, nodes).parse(data);
 }
 
 Expected<InstPtr> parse_wire_prefix(const Graph& wire, const Journal& journal,
                                     const HolderTable& table, BytesView data,
                                     std::size_t* consumed, BufferPool* scratch,
-                                    ScopeChain* scopes, InstPool* nodes,
-                                    ParseResume* resume) {
-  return WireParser(wire, journal, table, scratch, scopes, nodes,
-                    /*prefix=*/true, resume)
+                                    InstPool* nodes, ParseResume* resume) {
+  return WireParser(wire, journal, table, scratch, nodes, /*prefix=*/true,
+                    resume)
       .parse(data, consumed);
 }
 

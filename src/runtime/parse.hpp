@@ -8,13 +8,15 @@
 // *logical* value by running the target's read plan (transform/lineage.hpp:
 // its lineage chain's inverse over the leaf bytes of the already-parsed
 // subtree, with no node copied) before using it to delimit what follows.
+// The target's instance is found along its static route from the
+// dependant's ancestors (runtime/scope.hpp), which the parser's recursion
+// carries on the stack.
 #pragma once
 
 #include "ast/ast.hpp"
 #include "ast/pool.hpp"
 #include "graph/graph.hpp"
 #include "runtime/resume.hpp"
-#include "runtime/scope.hpp"
 #include "transform/lineage.hpp"
 #include "util/bytes.hpp"
 #include "util/result.hpp"
@@ -26,17 +28,14 @@ namespace protoobf {
 /// run transform/exec.hpp's inverse_program to recover the G1 tree.
 ///
 /// `scratch`, when given, supplies reusable buffers for the reversed copies
-/// of mirrored regions so steady-state parsing stops allocating them, and
-/// `scopes` a reusable scope table (it is reset before use, so stale
-/// entries from a previous message never leak in). `nodes`, when given,
-/// backs every tree node — and every terminal payload, via recycled Bytes
-/// capacity — so a session parses with no heap allocation in steady state;
-/// it must then outlive the returned tree. All must outlive the call and
-/// may be reused across messages.
+/// of mirrored regions so steady-state parsing stops allocating them.
+/// `nodes`, when given, backs every tree node — and every terminal payload,
+/// via recycled Bytes capacity — so a session parses with no heap
+/// allocation in steady state; it must then outlive the returned tree. Both
+/// must outlive the call and may be reused across messages.
 Expected<InstPtr> parse_wire(const Graph& wire, const Journal& journal,
                              const HolderTable& table, BytesView data,
                              BufferPool* scratch = nullptr,
-                             ScopeChain* scopes = nullptr,
                              InstPool* nodes = nullptr);
 
 /// Streaming variant: parses exactly one message from the *front* of
@@ -48,9 +47,11 @@ Expected<InstPtr> parse_wire(const Graph& wire, const Journal& journal,
 ///
 /// `resume`, when given, makes truncation retries incremental: a Truncated
 /// outcome suspends the partial parse (pooled partial tree, child cursors,
-/// delimiter-scan progress, reference scopes) into `resume`, and the next
-/// call with the same buffer front — same bytes, possibly more appended —
-/// continues from the truncation point instead of byte 0. This is what
+/// delimiter-scan progress) into `resume`, and the next call with the same
+/// buffer front — same bytes, possibly more appended — continues from the
+/// truncation point instead of byte 0. The retry walks the suspended spine
+/// down again, so references to committed holders resolve inside the
+/// partial trees. This is what
 /// keeps delimiter-bounded wire formats at amortized O(1) parse work per
 /// delivered byte under trickled delivery. The caller owns invalidation:
 /// see ParseResume's header for the validity contract. `resume` also
@@ -64,7 +65,6 @@ Expected<InstPtr> parse_wire_prefix(const Graph& wire, const Journal& journal,
                                     const HolderTable& table, BytesView data,
                                     std::size_t* consumed,
                                     BufferPool* scratch = nullptr,
-                                    ScopeChain* scopes = nullptr,
                                     InstPool* nodes = nullptr,
                                     ParseResume* resume = nullptr);
 

@@ -73,7 +73,6 @@ Status ObfuscatedProtocol::serialize_into(const Inst& message,
                                           std::uint64_t msg_seed, Bytes& out,
                                           std::vector<FieldSpan>* spans,
                                           InstPool* nodes,
-                                          ScopeChain* scopes,
                                           DeriveScratch* derive) const {
   if (Status s = ast::check(original_, message); !s) return s;
   // The caller's tree is read-only; the transformation passes mutate a
@@ -82,11 +81,11 @@ Status ObfuscatedProtocol::serialize_into(const Inst& message,
   // the clone that used to dominate the serialize path is gone.
   InstPtr tree = ast::copy(nodes, message);
   if (Status s = protoobf::canonicalize(original_, *tree, &canon_holders_,
-                                        scopes, derive);
+                                        derive);
       !s) {
     return s;
   }
-  if (Status s = check_presence(original_, *tree, scopes); !s) return s;
+  if (Status s = check_presence(original_, canon_holders_, *tree); !s) return s;
 
   DeriveScratch local_scratch;
   if (derive == nullptr) derive = &local_scratch;
@@ -97,7 +96,7 @@ Status ObfuscatedProtocol::serialize_into(const Inst& message,
     return s;
   }
   if (Status s = fix_holders(wire_, journal_, holders_, *tree, msg_seed,
-                             nodes, scopes, derive);
+                             nodes, derive);
       !s) {
     return s;
   }
@@ -106,31 +105,27 @@ Status ObfuscatedProtocol::serialize_into(const Inst& message,
 
 Expected<InstPtr> ObfuscatedProtocol::parse(BytesView wire,
                                             BufferPool* scratch,
-                                            ScopeChain* scopes,
                                             InstPool* nodes,
                                             DeriveScratch* derive) const {
-  auto tree =
-      parse_wire(wire_, journal_, holders_, wire, scratch, scopes, nodes);
-  return finish_parse(std::move(tree), nodes, scopes, derive);
+  auto tree = parse_wire(wire_, journal_, holders_, wire, scratch, nodes);
+  return finish_parse(std::move(tree), nodes, derive);
 }
 
 Expected<InstPtr> ObfuscatedProtocol::parse_prefix(BytesView buffer,
                                                    std::size_t* consumed,
                                                    BufferPool* scratch,
-                                                   ScopeChain* scopes,
                                                    InstPool* nodes,
                                                    DeriveScratch* derive,
                                                    ParseResume* resume) const {
   auto tree = parse_wire_prefix(wire_, journal_, holders_, buffer, consumed,
-                                scratch, scopes, nodes, resume);
-  return finish_parse(std::move(tree), nodes, scopes, derive);
+                                scratch, nodes, resume);
+  return finish_parse(std::move(tree), nodes, derive);
 }
 
 /// Shared tail of parse()/parse_prefix(): inverse transformations plus the
 /// canonical-form integrity checks.
 Expected<InstPtr> ObfuscatedProtocol::finish_parse(Expected<InstPtr> tree,
                                                    InstPool* nodes,
-                                                   ScopeChain* scopes,
                                                    DeriveScratch* derive) const {
   if (!tree) return tree;
   if (Status s = inverse_program(*tree, program_, journal_, nodes); !s) {
@@ -143,7 +138,7 @@ Expected<InstPtr> ObfuscatedProtocol::finish_parse(Expected<InstPtr> tree,
     return Unexpected("parsed message rejected: " + s.error().message);
   }
   if (Status s = protoobf::canonicalize(original_, **tree, &canon_holders_,
-                                        scopes, derive);
+                                        derive);
       !s) {
     return Unexpected(s.error());
   }
@@ -158,7 +153,7 @@ Status ObfuscatedProtocol::canonicalize(Inst& message) const {
       !s) {
     return s;
   }
-  return check_presence(original_, message);
+  return check_presence(original_, canon_holders_, message);
 }
 
 }  // namespace protoobf

@@ -20,7 +20,6 @@
 #include "runtime/derive.hpp"
 #include "runtime/emit.hpp"
 #include "runtime/resume.hpp"
-#include "runtime/scope.hpp"
 #include "transform/engine.hpp"
 #include "transform/lineage.hpp"
 #include "util/result.hpp"
@@ -69,17 +68,14 @@ class ObfuscatedProtocol {
   Status serialize_into(const Inst& message, std::uint64_t msg_seed,
                         Bytes& out, std::vector<FieldSpan>* spans = nullptr,
                         InstPool* nodes = nullptr,
-                        ScopeChain* scopes = nullptr,
                         DeriveScratch* derive = nullptr) const;
 
   /// Parses a wire message back into a canonical logical tree. `scratch`,
   /// when given, provides reusable buffers for mirrored-region copies;
-  /// `scopes` a reusable reference-scope table; `nodes` a tree-node pool
-  /// backing every instance of the result (which then must not outlive the
-  /// pool); `derive` reusable derive-pass scratch. Reference reads borrow
-  /// their registers from `scratch`.
+  /// `nodes` a tree-node pool backing every instance of the result (which
+  /// then must not outlive the pool); `derive` reusable derive-pass
+  /// scratch. Reference reads borrow their registers from `scratch`.
   Expected<InstPtr> parse(BytesView wire, BufferPool* scratch = nullptr,
-                          ScopeChain* scopes = nullptr,
                           InstPool* nodes = nullptr,
                           DeriveScratch* derive = nullptr) const;
 
@@ -97,7 +93,6 @@ class ObfuscatedProtocol {
   /// from `nodes`, which must outlive `resume`.
   Expected<InstPtr> parse_prefix(BytesView buffer, std::size_t* consumed,
                                  BufferPool* scratch = nullptr,
-                                 ScopeChain* scopes = nullptr,
                                  InstPool* nodes = nullptr,
                                  DeriveScratch* derive = nullptr,
                                  ParseResume* resume = nullptr) const;
@@ -116,7 +111,6 @@ class ObfuscatedProtocol {
                                                ObfuscationResult result);
 
   Expected<InstPtr> finish_parse(Expected<InstPtr> tree, InstPool* nodes,
-                                 ScopeChain* scopes,
                                  DeriveScratch* derive) const;
 
   Graph original_;

@@ -18,9 +18,10 @@
 //     position the in-progress child started at;
 //   * incremental matcher state: how far a delimiter scan got without
 //     finding its delimiter, so the retry never re-reads rejected bytes,
-//     and the cached element count of an open Tabular;
-//   * the reference-scope chain, preserved across attempts so committed
-//     holders stay resolvable without re-walking the committed tree.
+//     and the cached element count of an open Tabular.
+// Nothing else: the retry walks the spine down again, which rebuilds the
+// ancestors references resolve from (runtime/scope.hpp), and a committed
+// holder is found inside the partial trees where it was linked.
 //
 // Validity contract (README "Streaming over TCP" spells it out for users):
 // a checkpoint is only meaningful while the retry sees the *same buffer
@@ -43,7 +44,6 @@
 
 #include "ast/ast.hpp"
 #include "graph/graph.hpp"
-#include "runtime/scope.hpp"
 
 namespace protoobf {
 
@@ -77,18 +77,10 @@ class ParseResume {
   /// Whether a suspended parse is waiting to be continued.
   bool active() const { return active_; }
 
-  /// Checkpointing on/off. When disabled the parser still counts into
-  /// stats() (so a bench can measure the restart-from-zero baseline with
-  /// identical accounting) but never suspends state.
-  bool enabled() const { return enabled_; }
-  void set_enabled(bool enabled) {
-    enabled_ = enabled;
-    if (!enabled) invalidate();
-  }
-
-  /// Drops any suspended state: partial trees return to their pool, the
-  /// scope chain resets. Must be called whenever the buffer front the
-  /// checkpoint describes moves for any reason other than appending bytes.
+  /// Drops any suspended state: partial trees return to their pool. Must
+  /// be called whenever the buffer front the checkpoint describes moves for
+  /// any reason other than appending bytes. Calling it before every attempt
+  /// measures the restart-from-zero baseline with the same accounting.
   void invalidate() {
     if (active_ || !spine_.empty()) ++stats_.invalidations;
     discard();
@@ -106,7 +98,6 @@ class ParseResume {
   // --- parser-internal interface (parse_wire_prefix is the only writer) ---
 
   std::deque<ResumeFrame>& spine() { return spine_; }
-  ScopeChain& scope_chain() { return scopes_; }
   Stats& mutable_stats() { return stats_; }
 
   /// Marks the current spine as a live checkpoint for a window of `seen`
@@ -121,17 +112,14 @@ class ParseResume {
   /// over, or a completed parse consuming its checkpoint.
   void discard() {
     spine_.clear();
-    scopes_.reset();
     active_ = false;
     seen_ = 0;
   }
 
  private:
   std::deque<ResumeFrame> spine_;  // root → leaf of the open spine
-  ScopeChain scopes_;               // preserved across suspended attempts
   std::size_t seen_ = 0;            // window size at suspension
   bool active_ = false;
-  bool enabled_ = true;
   Stats stats_;
 };
 

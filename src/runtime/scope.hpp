@@ -1,128 +1,76 @@
-// Reference scoping shared by the parser and the derivation passes.
+// Reference resolution shared by the parser and the derivation passes.
 //
-// Length/Counter/Condition references resolve to "the nearest instance of
-// the referenced node parsed so far": one scope exists per Repetition or
-// Tabular element (so a per-element length field resolves within its own
-// element — the TLV pattern) plus the root scope; lookups walk scopes from
-// innermost to outermost. Validation (graph/validate.cpp) guarantees a
-// reference target is registered before any dependant needs it.
+// A Length/Counter/Condition reference resolves to the instance of its
+// target that the dependant's own position selects. validate() puts the
+// target before the dependant in parse order, outside of it, and inside
+// only those Repetition/Tabular elements and Optionals that enclose the
+// dependant too (so a per-element length field resolves within its own
+// element: the TLV pattern). Each referenced top therefore has a static
+// Route (transform/lineage.hpp), and a reference resolves from the
+// dependant's ancestors, which the recursion of the parser and of the
+// walks below carries on the stack: up to the deepest ancestor on the
+// route, then down the route's child indices.
 //
-// Scopes are flat (NodeId, Inst*) vectors rather than hash maps: a map
-// costs one heap node per registration — O(nodes) allocations per parsed
-// message — while a vector's capacity survives clear(), so a reused chain
-// registers every instance of a message without touching the heap. Lookups
-// scan newest-first, which both preserves the map's overwrite semantics
-// (the latest registration of a schema wins) and terminates quickly in
-// practice, because references point at recently registered holders.
+// The descent starts at that deepest ancestor, not at the route's anchor,
+// because the parser links a node into its parent only once the node is
+// complete: an ancestor's in-flight child is unreachable from above. The
+// target's branch precedes the dependant's and does not enclose it, so it
+// is complete and linked below the ancestor where the two branches part.
 #pragma once
 
-#include <utility>
-#include <vector>
+#include <cstdint>
 
 #include "ast/ast.hpp"
-#include "graph/graph.hpp"
+#include "transform/lineage.hpp"
 #include "util/result.hpp"
 
 namespace protoobf {
 
-class ScopeChain {
- public:
-  /// One registration. `mark` is a slot for the caller, kNoMark until the
-  /// caller sets it: the derive passes keep a holder instance's first
-  /// (holder, measured) pair there.
-  struct Entry {
-    NodeId id;
-    Inst* inst;
-    std::size_t mark;
-  };
-  static constexpr std::size_t kNoMark = ~std::size_t{0};
+/// One instance on the path from the root to the node being visited.
+struct Ancestor {
+  Ancestor(Inst* inst, const Ancestor* up)
+      : inst(inst), up(up), depth(up != nullptr ? up->depth + 1 : 0) {}
 
-  ScopeChain() { push(); }
-
-  /// Opens a scope. Retired scopes keep their entry capacity, so iterating
-  /// the elements of a Repetition costs no allocation after the first
-  /// element — and none at all when the chain itself is reused across
-  /// messages (session arenas hold one for exactly that).
-  void push() {
-    if (depth_ == scopes_.size()) {
-      scopes_.emplace_back();
-    } else {
-      scopes_[depth_].clear();
-    }
-    ++depth_;
-  }
-  void pop() { --depth_; }
-
-  void add(Inst* inst) {
-    scopes_[depth_ - 1].push_back({inst->schema, inst, kNoMark});
-  }
-
-  /// The newest registration of `id` in scope, or null.
-  Entry* find(NodeId id) {
-    for (std::size_t i = depth_; i-- > 0;) {
-      auto& entries = scopes_[i];
-      for (std::size_t k = entries.size(); k-- > 0;) {
-        if (entries[k].id == id) return &entries[k];
-      }
-    }
-    return nullptr;
-  }
-
-  Inst* lookup(NodeId id) {
-    Entry* entry = find(id);
-    return entry != nullptr ? entry->inst : nullptr;
-  }
-
-  /// Back to a single empty root scope, keeping all entry capacity.
-  void reset() {
-    depth_ = 0;
-    push();
-  }
-
- private:
-  std::vector<std::vector<Entry>> scopes_;
-  std::size_t depth_ = 0;
+  Inst* inst;
+  const Ancestor* up;   // the parent's entry; null at the root
+  std::uint32_t depth;  // depth of inst's node in the graph, 0 at the root
 };
 
-namespace detail {
-
-template <typename Pre>
-Status walk_scoped_impl(const Graph& graph, Inst& inst, ScopeChain& scopes,
-                        Pre& pre) {
-  if (Status s = pre(inst, scopes); !s) return s;
-  const Node& n = graph.node(inst.schema);
-  if (inst.present) {
-    const bool element_scope =
-        n.type == NodeType::Repetition || n.type == NodeType::Tabular;
-    for (auto& child : inst.children) {
-      if (element_scope) scopes.push();
-      const Status s = walk_scoped_impl(graph, *child, scopes, pre);
-      if (element_scope) scopes.pop();
-      if (!s) return s;
+/// The instance of `route`'s target that a dependant whose parent is
+/// `parent` refers to; null when there is none (an absent Optional on the
+/// route, or a tree that does not follow the graph).
+inline Inst* resolve(const Route& route, const Ancestor* parent) {
+  for (const Ancestor* a = parent; a != nullptr && a->depth >= route.anchor;
+       a = a->up) {
+    std::size_t at = a->depth - route.anchor;
+    if (at >= route.index.size() || a->inst->schema != route.nodes[at]) {
+      continue;
     }
+    Inst* inst = a->inst;
+    for (; at < route.index.size(); ++at) {
+      const std::uint32_t k = route.index[at];
+      if (!inst->present || k >= inst->children.size()) return nullptr;
+      inst = inst->children[k].get();
+      if (inst->schema != route.nodes[at + 1]) return nullptr;
+    }
+    return inst;
   }
-  scopes.add(&inst);
-  return Status::success();
+  return nullptr;
 }
 
-}  // namespace detail
-
-/// In-order traversal mirroring parse order: `pre` runs when a node is
-/// reached (references to earlier nodes already registered), registration
-/// happens after the subtree completes, element scopes are pushed around
-/// each Repetition/Tabular element. Absent optionals are not descended.
-/// `reuse`, when given, supplies the scope table (reset first) so
-/// per-message callers stop allocating one per walk; a template so the
-/// callable inlines without a std::function box.
+/// Pre-order traversal, which is parse order: `pre(inst, parent)` runs when
+/// an instance is reached, with its parent's entry to resolve references
+/// from. Absent optionals are not descended. A template so the callable
+/// inlines without a std::function box.
 template <typename Pre>
-Status walk_scoped(const Graph& graph, Inst& root, Pre&& pre,
-                   ScopeChain* reuse = nullptr) {
-  if (reuse != nullptr) {
-    reuse->reset();
-    return detail::walk_scoped_impl(graph, root, *reuse, pre);
+Status walk_with_ancestors(Inst& inst, const Ancestor* parent, Pre& pre) {
+  if (Status s = pre(inst, parent); !s) return s;
+  if (!inst.present) return Status::success();
+  const Ancestor here(&inst, parent);
+  for (InstPtr& child : inst.children) {
+    if (Status s = walk_with_ancestors(*child, &here, pre); !s) return s;
   }
-  ScopeChain local;
-  return detail::walk_scoped_impl(graph, root, local, pre);
+  return Status::success();
 }
 
 }  // namespace protoobf

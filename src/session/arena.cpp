@@ -6,7 +6,6 @@ void SessionArena::shrink() {
   wire_ = Bytes();
   frame_ = Bytes();
   scratch_.shrink();
-  scopes_ = ScopeChain();
   derive_ = DeriveScratch();
   nodes_.shrink();
 }

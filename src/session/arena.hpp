@@ -6,9 +6,9 @@
 // reversed copy, and every message materializes a fresh Inst tree node by
 // node; at traffic scale those per-message heap round-trips dominate the
 // runtime cost of small messages. The arena keeps one wire buffer, one
-// frame buffer, one scratch pool, one scope table and one AST node pool
-// per session so the steady state reuses capacity established by the first
-// few messages — including whole parse trees and serialize workspaces,
+// frame buffer, one scratch pool, one derive-pass bundle and one AST node
+// pool per session so the steady state reuses capacity established by the
+// first few messages — including whole parse trees and serialize workspaces,
 // which recycle through the node pool. Each buffer's own capacity is its
 // high-water mark: emission clears a buffer without releasing it.
 //
@@ -18,7 +18,6 @@
 
 #include "ast/pool.hpp"
 #include "runtime/derive.hpp"
-#include "runtime/scope.hpp"
 #include "util/bytes.hpp"
 
 namespace protoobf {
@@ -38,9 +37,6 @@ class SessionArena {
 
   /// Scratch buffers for parse() mirrored-region copies.
   BufferPool& scratch() { return scratch_; }
-
-  /// Reusable reference-scope table for parse() (reset per message).
-  ScopeChain& scopes() { return scopes_; }
 
   /// Reusable derive-pass scratch (the pairs, encoding and read-plan
   /// register buffers of canonicalize()/fix_holders()), the last
@@ -63,7 +59,6 @@ class SessionArena {
   Bytes wire_;
   Bytes frame_;
   BufferPool scratch_;
-  ScopeChain scopes_;
   DeriveScratch derive_;
   InstPool nodes_;
 };

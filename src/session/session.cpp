@@ -24,7 +24,6 @@ Expected<BytesView> Session::serialize(const Inst& message,
   const std::uint64_t t0 = maybe_start_sample(Op::Serialize);
   if (Status s = protocol_->serialize_into(message, msg_seed, arena_.wire(),
                                            spans, &arena_.nodes(),
-                                           &arena_.scopes(),
                                            &arena_.derive());
       !s) {
     m.serialize_errors.add(1);
@@ -42,8 +41,8 @@ Expected<BytesView> Session::serialize(const Inst& message,
 Expected<InstPtr> Session::parse(BytesView wire) {
   obs::SessionMetrics& m = obs::SessionMetrics::get();
   const std::uint64_t t0 = maybe_start_sample(Op::Parse);
-  auto result = protocol_->parse(wire, &arena_.scratch(), &arena_.scopes(),
-                                 &arena_.nodes(), &arena_.derive());
+  auto result = protocol_->parse(wire, &arena_.scratch(), &arena_.nodes(),
+                                 &arena_.derive());
   if (result) {
     m.parsed.add(1);
   } else {

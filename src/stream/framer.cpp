@@ -190,15 +190,13 @@ ObfuscatedFramer::ObfuscatedFramer(
       skeleton_(std::move(skeleton)),
       payload_slot_(payload_slot),
       payload_node_(payload_node),
-      min_need_(min_need) {
-  resume_.set_enabled(config_.resumable_decode);
-}
+      min_need_(min_need) {}
 
 Status ObfuscatedFramer::encode(BytesView payload, Bytes& out) {
   payload_slot_->value.assign(payload.begin(), payload.end());
   if (Status s = framing_->serialize_into(*skeleton_, rng_.next_u64(), out,
                                           /*spans=*/nullptr, &nodes_,
-                                          &scopes_, &derive_);
+                                          &derive_);
       !s) {
     return s;
   }
@@ -217,13 +215,13 @@ FrameDecode ObfuscatedFramer::decode(BytesView buffer) {
   }
   ResumeStatsMirror mirror(resume_);
   // The prefix parse runs resumably: a Truncated attempt suspends into
-  // resume_ (partial pooled tree, delimiter-scan cursors, scopes) and the
-  // next decode() on the grown front continues from the truncation point.
-  // parse_prefix still uses scopes_/derive_ for the post-parse passes only,
-  // so an encode() interleaved with a suspended decode never collides.
+  // resume_ (partial pooled tree, delimiter-scan cursors) and the next
+  // decode() on the grown front continues from the truncation point.
+  // parse_prefix uses derive_ for the post-parse passes only, so an
+  // encode() interleaved with a suspended decode never collides.
   std::size_t consumed = 0;
-  auto tree = framing_->parse_prefix(buffer, &consumed, &scratch_, &scopes_,
-                                     &nodes_, &derive_, &resume_);
+  auto tree = framing_->parse_prefix(buffer, &consumed, &scratch_, &nodes_,
+                                     &derive_, &resume_);
   if (!tree) {
     const Error& e = tree.error();
     if (e.truncated()) {

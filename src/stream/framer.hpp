@@ -153,12 +153,6 @@ class ObfuscatedFramer final : public Framer {
     // NeedMore, so a hostile trickle that never completes a frame cannot
     // grow the reassembly buffer without bound.
     std::size_t max_frame_size = LengthPrefixFramer::kDefaultMaxFrame;
-    // Keep a suspended prefix parse across NeedMore retries and continue
-    // it when more bytes arrive (amortized O(1) decode work per delivered
-    // byte, the fix for delimiter-bounded frame specs degrading to a full
-    // re-parse per byte). Off = restart from byte 0 every retry, the
-    // pre-resume behaviour — kept as a bench/debug baseline.
-    bool resumable_decode = true;
   };
 
   /// Fails when the frame protocol's wire format is not stream-safe (see
@@ -213,7 +207,6 @@ class ObfuscatedFramer final : public Framer {
   NodeId payload_node_;    // its schema in the original frame graph
   std::size_t min_need_;   // static floor on any frame's wire size
   BufferPool scratch_;     // mirrored-region buffers
-  ScopeChain scopes_;      // reusable reference-scope table
   DeriveScratch derive_;   // derive-pass work vectors
   InstPool nodes_;         // recycles frame trees across encodes/decodes
   ParseResume resume_;     // suspended prefix parse between NeedMore retries

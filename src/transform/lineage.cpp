@@ -134,6 +134,34 @@ Status compile_read_plan(HolderInfo& info, const Graph& wire,
   return Status::success();
 }
 
+/// The route to `top` in `wire`; empty when no chain of child links leads
+/// from the root to it.
+Route route_to(const Graph& wire, NodeId top) {
+  std::vector<NodeId> path;  // `top` up to the root
+  for (NodeId at = top; at != kNoNode; at = wire.node(at).parent) {
+    if (at >= wire.arena_size() || path.size() >= wire.arena_size()) return {};
+    path.push_back(at);
+  }
+  if (path.empty() || path.back() != wire.root()) return {};
+  std::reverse(path.begin(), path.end());
+  std::size_t anchor = 0;
+  for (std::size_t d = 0; d + 1 < path.size(); ++d) {
+    const NodeType type = wire.node(path[d]).type;
+    if (type == NodeType::Repetition || type == NodeType::Tabular) {
+      anchor = d + 1;
+    }
+  }
+  Route route;
+  route.anchor = static_cast<std::uint32_t>(anchor);
+  route.nodes.assign(path.begin() + anchor, path.end());
+  for (std::size_t d = anchor; d + 1 < path.size(); ++d) {
+    const int k = wire.child_index(path[d], path[d + 1]);
+    if (k < 0) return {};
+    route.index.push_back(static_cast<std::uint32_t>(k));
+  }
+  return route;
+}
+
 /// One instance of G1 node `slot->schema` and of everything below it: one
 /// element per Repetition/Tabular, Fixed terminals at their size.
 /// `slots[id]` receives the link that holds node id's instance.
@@ -214,6 +242,7 @@ Expected<HolderTable> build_holder_table(const Graph& g1, const Graph& wire,
         return Unexpected("lineage of node " + std::to_string(info.origin) +
                           ": " + s.error().message);
       }
+      info.route = route_to(wire, info.top);
       if (info.top < at->size()) (*at)[info.top] = i;
     }
   }

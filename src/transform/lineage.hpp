@@ -58,11 +58,27 @@ struct ReadPlan {
   std::vector<Step> steps;  // steps[0] is the origin
 };
 
+/// Where a referenced wire top sits, fixed once per graph. validate() puts
+/// a reference target before its dependant in parse order, outside of it,
+/// and inside only those Repetition/Tabular elements and Optionals that
+/// also enclose the dependant. So the target's instance is reached from the
+/// dependant's ancestors: from the deepest one on the route, down the
+/// route's child indices (runtime/scope.hpp's resolve()).
+struct Route {
+  std::uint32_t anchor = 0;  // depth of nodes[0]: the element of the
+                             // target's innermost Repetition/Tabular, or
+                             // the root (depth 0)
+  std::vector<NodeId> nodes;         // nodes[0] down to the target; empty
+                                     // when the target is not in the graph
+  std::vector<std::uint32_t> index;  // child index of nodes[i + 1] in nodes[i]
+};
+
 struct HolderInfo {
   NodeId origin = kNoNode;  // the terminal that logically holds the value
   NodeId top = kNoNode;     // top of the holder's subtree in the wire graph
   std::vector<std::size_t> chain;  // journal indices to replay over origin
   ReadPlan plan;                   // the chain's inverse, read in place
+  Route route;                     // where `top` sits in the wire graph
 };
 
 struct HolderTable {
@@ -93,10 +109,10 @@ struct HolderTable {
 };
 
 /// Scans the journal and computes every holder's origin, final wire top,
-/// replay chain and read plan, plus the lineage of every Optional condition
-/// target. `g1` is the pre-obfuscation graph, `wire` the final one (`g1`
-/// again, with an empty journal, for G1's own table). Fails when a plan
-/// cannot model its chain, e.g. a TabSplit in it.
+/// replay chain, read plan and route, plus the lineage of every Optional
+/// condition target. `g1` is the pre-obfuscation graph, `wire` the final
+/// one (`g1` again, with an empty journal, for G1's own table). Fails when
+/// a plan cannot model its chain, e.g. a TabSplit in it.
 Expected<HolderTable> build_holder_table(const Graph& g1, const Graph& wire,
                                          const Journal& journal);
 

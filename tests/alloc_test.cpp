@@ -4,10 +4,14 @@
 // parses without growing the node pool (zero freelist misses) while staying
 // byte-identical to the plain ObfuscatedProtocol calls. These tests pin both
 // properties so a future change cannot silently reintroduce per-message
-// heap churn or divergence.
+// heap churn or divergence; a global operator-new hook (as in
+// bench_alloc_profile) counts the heap allocations of a warm session parse.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
 #include <memory>
+#include <new>
 
 #if defined(__SANITIZE_ADDRESS__)
 #define PROTOOBF_TEST_LSAN 1
@@ -28,6 +32,50 @@
 #include "runtime/emit.hpp"
 #include "runtime/parse.hpp"
 #include "session/session.hpp"
+
+// --- operator-new hook ------------------------------------------------------
+// Every replaced new allocates with malloc and every delete frees with
+// free, so the pairs match; GCC cannot see that through the replacement.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+
+namespace {
+std::atomic<std::uint64_t> g_allocs{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new(std::size_t size, std::align_val_t align) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  const std::size_t a = static_cast<std::size_t>(align);
+  if (void* p = std::aligned_alloc(a, (size + a - 1) / a * a)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return ::operator new(size, align);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace protoobf {
 namespace {
@@ -198,6 +246,47 @@ INSTANTIATE_TEST_SUITE_P(Protocols, AllocSteadyState, ::testing::Bool(),
                            return info.param ? "Http" : "Modbus";
                          });
 
+class SessionParseAllocs : public ::testing::TestWithParam<int> {};
+
+TEST_P(SessionParseAllocs, WarmParseAllocatesLessThanOncePerMessage) {
+  // bench_alloc_profile's parse/session row: HTTP at seed 2018, 128
+  // messages, two warm-up rounds, two counted rounds. References resolve
+  // along routes from ancestors on the stack, so a warm parse keeps no
+  // per-message registry that could allocate.
+  const int per_node = GetParam();
+  const Graph g1 = Framework::load_spec(http::request_spec()).value();
+  auto entry = std::make_shared<const ObfuscatedProtocol>(
+      Framework::generate(g1, config_of(2018, per_node)).value());
+  Rng rng(7);
+  std::vector<Bytes> wires;
+  for (std::size_t i = 0; i < 128; ++i) {
+    Message msg = http::random_request(entry->original(), rng);
+    auto wire = entry->serialize(msg.root(), msg_seed_of(i));
+    ASSERT_TRUE(wire.ok()) << wire.error().message;
+    wires.push_back(std::move(*wire));
+  }
+
+  Session session(entry);
+  const auto parse_all = [&] {
+    for (const Bytes& wire : wires) {
+      auto tree = session.parse(wire);
+      ASSERT_TRUE(tree.ok()) << tree.error().message;
+    }
+  };
+  for (int round = 0; round < 2; ++round) parse_all();
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  for (int round = 0; round < 2; ++round) parse_all();
+  const double per_msg =
+      static_cast<double>(g_allocs.load(std::memory_order_relaxed) - before) /
+      static_cast<double>(2 * wires.size());
+  EXPECT_LT(per_msg, 1.0) << "per_node " << per_node;
+}
+
+INSTANTIATE_TEST_SUITE_P(Http, SessionParseAllocs, ::testing::Values(2, 4),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return "Pn" + std::to_string(info.param);
+                         });
+
 // --- reference reads copy no node --------------------------------------------
 
 class NoCopyReads : public ::testing::TestWithParam<bool> {};
@@ -228,8 +317,7 @@ TEST_P(NoCopyReads, ParseAndHolderChecksDrawOnlyTreeNodes) {
 
     const std::size_t before_parse = drawn();
     auto tree = parse_wire(protocol.wire_graph(), protocol.journal(),
-                           protocol.holders(), *wire, &buffers, nullptr,
-                           &pool);
+                           protocol.holders(), *wire, &buffers, &pool);
     ASSERT_TRUE(tree.ok()) << tree.error().message;
     parse_nodes += drawn() - before_parse;
     tree_nodes += ast::count(**tree);
@@ -237,7 +325,7 @@ TEST_P(NoCopyReads, ParseAndHolderChecksDrawOnlyTreeNodes) {
     const std::size_t before_fix = drawn();
     ASSERT_TRUE(fix_holders(protocol.wire_graph(), protocol.journal(),
                             protocol.holders(), **tree, msg_seed_of(i), &pool,
-                            nullptr, &derive)
+                            &derive)
                     .ok());
     fix_nodes += drawn() - before_fix;
   }

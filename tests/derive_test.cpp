@@ -154,18 +154,32 @@ m: seq end {
   rest: terminal end
 }
 )");
+  const HolderTable table = build_holder_table(g, g, {}).value();
   Message missing(g);
   missing.set_uint("kind", 1);  // condition true but optional absent
   missing.set_text("rest", "r");
   ASSERT_TRUE(canonicalize(g, missing.root()).ok());
-  EXPECT_FALSE(check_presence(g, missing.root()).ok());
+  const Status absent = check_presence(g, table, missing.root());
+  ASSERT_FALSE(absent.ok());
+  EXPECT_NE(absent.error().message.find("absent but its condition evaluates "
+                                        "to true"),
+            std::string::npos)
+      << absent.error().message;
 
   Message spurious(g);
   spurious.set_uint("kind", 0);
   spurious.set("xv", Bytes{1});  // materializes the optional
   spurious.set_text("rest", "r");
   ASSERT_TRUE(canonicalize(g, spurious.root()).ok());
-  EXPECT_FALSE(check_presence(g, spurious.root()).ok());
+  const Status present = check_presence(g, table, spurious.root());
+  ASSERT_FALSE(present.ok());
+  EXPECT_NE(present.error().message.find("present but its condition "
+                                         "evaluates to false"),
+            std::string::npos)
+      << present.error().message;
+
+  spurious.set_uint("kind", 1);
+  EXPECT_TRUE(check_presence(g, table, spurious.root()).ok());
 }
 
 TEST(FixHolders, WireLengthTracksTransformedSize) {

@@ -218,6 +218,28 @@ TEST(Validate, RejectsReferenceIntoForeignOptional) {
   EXPECT_NE(s.error().message.find("Optional"), std::string::npos);
 }
 
+TEST(Validate, RejectsReferenceToEnclosingNode) {
+  // The parent sequence precedes its child in parse order but is not
+  // complete when the child needs its length.
+  Graph g("Bad");
+  Node payload;
+  payload.name = "payload";
+  payload.type = NodeType::Terminal;
+  payload.boundary = BoundaryKind::Length;
+  const NodeId pid = g.add_node(payload);
+  const NodeId tag = add_terminal(g, "tag", BoundaryKind::Fixed, 1);
+  const NodeId body = add_composite(g, "body", NodeType::Sequence,
+                                    BoundaryKind::Delegated, {tag, pid});
+  g.node(pid).ref = body;
+  g.set_root(
+      add_composite(g, "m", NodeType::Sequence, BoundaryKind::End, {body}));
+  const Status s = validate(g);
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.error().message.find("reference 'm.body' encloses"),
+            std::string::npos)
+      << s.error().message;
+}
+
 TEST(Validate, RejectsReferenceIntoRepeatedElementFromOutside) {
   Graph g("Bad");
   const NodeId inner_len = add_terminal(g, "ilen", BoundaryKind::Fixed, 1);

@@ -3,10 +3,12 @@
 //
 // runtime/derive derives every holder in one reverse-parse-order pass and
 // checks holders through their read plans; the parser reads lengths,
-// counts and conditions through the same plans. The references below are
-// test-local copies of what ran before: a pre-order fixpoint iterated to
-// convergence, whose skip check deep-copies and inverts the holder
-// subtree (invert_chain) and whose rebuild replays the chain
+// counts and conditions through the same plans, and both find a holder
+// along its static route. The references below are test-local copies of
+// what ran before: a pre-order fixpoint iterated to convergence, whose
+// holders are found by dynamic scoping (a registry of every instance
+// searched newest-first), whose skip check deep-copies and inverts the
+// holder subtree (invert_chain) and whose rebuild replays the chain
 // (rerun_chain). Over every registry spec plus HTTP, at per_node 1..4,
 // many obfuscation seeds and random messages:
 //
@@ -37,7 +39,6 @@
 #include "runtime/derive.hpp"
 #include "runtime/emit.hpp"
 #include "runtime/parse.hpp"
-#include "runtime/scope.hpp"
 #include "transform/exec.hpp"
 
 namespace protoobf {
@@ -74,19 +75,49 @@ struct Pair {
   bool is_counter;
 };
 
-Status pairs_of(const Graph& graph, Inst& root, std::vector<Pair>& pairs) {
-  pairs.clear();
-  return walk_scoped(graph, root, [&](Inst& inst, ScopeChain& chain) -> Status {
-    const Node& n = graph.node(inst.schema);
-    if (n.boundary != BoundaryKind::Length &&
-        n.boundary != BoundaryKind::Counter) {
-      return Status::success();
+/// The dynamic scoping that routes replaced: one scope per Repetition or
+/// Tabular element plus the root, each instance registered once its
+/// subtree is complete, lookups newest-first.
+struct Scopes {
+  std::vector<std::vector<Inst*>> open = {{}};  // the root scope
+
+  Inst* lookup(NodeId id) const {
+    for (auto scope = open.rbegin(); scope != open.rend(); ++scope) {
+      for (auto it = scope->rbegin(); it != scope->rend(); ++it) {
+        if ((*it)->schema == id) return *it;
+      }
     }
-    Inst* holder = chain.lookup(n.ref);
+    return nullptr;
+  }
+};
+
+Status collect_pairs(const Graph& graph, Inst& inst, Scopes& scopes,
+                     std::vector<Pair>& pairs) {
+  const Node& n = graph.node(inst.schema);
+  if (n.boundary == BoundaryKind::Length ||
+      n.boundary == BoundaryKind::Counter) {
+    Inst* holder = scopes.lookup(n.ref);
     if (holder == nullptr) return Unexpected("holder not in scope");
     pairs.push_back({holder, &inst, n.boundary == BoundaryKind::Counter});
-    return Status::success();
-  });
+  }
+  if (inst.present) {
+    const bool element_scope =
+        n.type == NodeType::Repetition || n.type == NodeType::Tabular;
+    for (InstPtr& child : inst.children) {
+      if (element_scope) scopes.open.emplace_back();
+      const Status s = collect_pairs(graph, *child, scopes, pairs);
+      if (element_scope) scopes.open.pop_back();
+      if (!s) return s;
+    }
+  }
+  scopes.open.back().push_back(&inst);
+  return Status::success();
+}
+
+Status pairs_of(const Graph& graph, Inst& root, std::vector<Pair>& pairs) {
+  pairs.clear();
+  Scopes scopes;
+  return collect_pairs(graph, root, scopes, pairs);
 }
 
 Expected<std::uint64_t> measure(const Graph& graph, const Pair& pair) {
@@ -251,7 +282,10 @@ Bytes check_derivation(const ObfuscatedProtocol& p, const Inst& message,
     tally.mismatch(where + ": canonical trees differ");
     return {};
   }
-  if (!check_presence(p.original(), *canonical)) {
+  if (!check_presence(p.original(),
+                      build_holder_table(p.original(), p.original(), {})
+                          .value(),
+                      *canonical)) {
     tally.mismatch(where + ": canonical tree fails its conditions");
     return {};
   }

@@ -73,8 +73,8 @@ TEST(HostileMemory, PoolHighWaterStaysFlatAcrossAMalformedFlood) {
     const Bytes input = i % 4 == 0 ? mutator->seeds().front().wire
                                    : hostile_input(mutator->seeds().front(),
                                                    rng);
-    auto tree = protocol->parse(input, &arena.scratch(), &arena.scopes(),
-                                &arena.nodes(), &arena.derive());
+    auto tree = protocol->parse(input, &arena.scratch(), &arena.nodes(),
+                                &arena.derive());
     (void)tree;
   }
   const std::size_t high_water = arena.nodes().stats().slabs;
@@ -89,8 +89,8 @@ TEST(HostileMemory, PoolHighWaterStaysFlatAcrossAMalformedFlood) {
       // A mangled frame occasionally still parses (the flip landed in
       // payload data); its tree must drop back to the pool before the
       // leak check below.
-      auto tree = protocol->parse(input, &arena.scratch(), &arena.scopes(),
-                                  &arena.nodes(), &arena.derive());
+      auto tree = protocol->parse(input, &arena.scratch(), &arena.nodes(),
+                                  &arena.derive());
       if (!tree.ok() && tree.error().kind == ErrorKind::Malformed) {
         ++malformed;
       }

@@ -63,14 +63,17 @@ std::shared_ptr<const ObfuscatedProtocol> compile(std::string_view spec,
 /// One resumable prefix parse of `wire` delivered in `step`-byte slices
 /// (the last slice may be shorter). Returns the final tree and checks the
 /// intermediate taxonomy: every short attempt is Truncated, never an error.
+/// `restart` drops the checkpoint before every attempt: the restart-from-
+/// zero baseline, with the same accounting.
 Expected<InstPtr> trickle_parse(const ObfuscatedProtocol& protocol,
                                 BytesView wire, std::size_t step,
                                 ParseResume& resume, InstPool& nodes,
-                                std::size_t* consumed) {
+                                std::size_t* consumed, bool restart = false) {
   for (std::size_t have = std::min(step, wire.size());;
        have = std::min(have + step, wire.size())) {
+    if (restart) resume.invalidate();
     auto tree = protocol.parse_prefix(wire.first(have), consumed, nullptr,
-                                      nullptr, &nodes, nullptr, &resume);
+                                      &nodes, nullptr, &resume);
     if (tree.ok()) return tree;
     EXPECT_TRUE(tree.error().truncated())
         << "prefix " << have << "/" << wire.size()
@@ -124,18 +127,49 @@ TEST(ParseResume, DelimiterScanNeverRereadsRejectedBytes) {
   EXPECT_LE(resume.stats().scanned_bytes, 4 * wire.size())
       << "resumable scan degraded toward O(n^2)";
 
-  // Restart-from-zero baseline (checkpointing disabled, same accounting):
-  // the same delivery rescans the front on every attempt — quadratic.
+  // Restart-from-zero baseline (checkpoint dropped before every attempt,
+  // same accounting): the same delivery rescans the front on every
+  // attempt — quadratic.
   ParseResume baseline;
-  baseline.set_enabled(false);
   InstPool baseline_nodes;
-  auto base_tree =
-      trickle_parse(*protocol, wire, 1, baseline, baseline_nodes, &consumed);
+  auto base_tree = trickle_parse(*protocol, wire, 1, baseline, baseline_nodes,
+                                 &consumed, /*restart=*/true);
   ASSERT_TRUE(base_tree.ok());
   EXPECT_GT(baseline.stats().scanned_bytes, 16 * wire.size())
       << "baseline unexpectedly cheap: the regression this guards is gone?";
   EXPECT_EQ(baseline.stats().resumed, 0u);
   EXPECT_TRUE(ast::equal(**tree, **base_tree));
+}
+
+TEST(ParseResume, CommittedHolderResolvesInsideThePartialTree) {
+  // `flen` is committed into the suspended root before the scan of `ftag`
+  // runs dry, so `fbody`'s length resolves inside the partial tree that
+  // the retry walks down again.
+  constexpr std::string_view kHeldSpec = R"(
+protocol DHeld
+frame: seq end {
+  flen: terminal fixed(1)
+  ftag: terminal delimited("|") ascii
+  fbody: terminal length(flen)
+}
+)";
+  auto protocol = compile(kHeldSpec, 1, 0);
+  auto g = Framework::load_spec(kHeldSpec).value();
+  Message msg(g);
+  msg.set_text("ftag", "a tag long enough to suspend on");
+  msg.set_text("fbody", "measured by the committed holder");
+  const Bytes wire = protocol->serialize(msg.root(), 4).value();
+  auto oneshot = protocol->parse(wire);
+  ASSERT_TRUE(oneshot.ok()) << oneshot.error().message;
+
+  ParseResume resume;
+  InstPool nodes;
+  std::size_t consumed = 0;
+  auto resumed = trickle_parse(*protocol, wire, 1, resume, nodes, &consumed);
+  ASSERT_TRUE(resumed.ok()) << resumed.error().message;
+  EXPECT_EQ(consumed, wire.size());
+  EXPECT_TRUE(ast::equal(**resumed, **oneshot));
+  EXPECT_GT(resume.stats().resumed, 0u);
 }
 
 TEST(ParseResume, StopMarkerRepetitionResumesAcrossElements) {
@@ -198,8 +232,7 @@ TEST(ParseResume, RandomChunkingsMatchOneShotOnObfuscatedSpec) {
       while (true) {
         have = std::min<std::size_t>(have + rng.between(1, 9), wire->size());
         tree = protocol->parse_prefix(BytesView(*wire).first(have), &consumed,
-                                      nullptr, nullptr, &nodes, nullptr,
-                                      &resume);
+                                      nullptr, &nodes, nullptr, &resume);
         if (tree.ok()) break;
         ASSERT_TRUE(tree.error().truncated())
             << "seed " << seed << " at " << have << ": "
@@ -227,8 +260,8 @@ TEST(ParseResume, ShrunkenFrontAutoInvalidatesAndMalformedClears) {
   std::size_t consumed = 0;
   // Suspend midway.
   auto partial = protocol->parse_prefix(BytesView(wire).first(wire.size() / 2),
-                                        &consumed, nullptr, nullptr, &nodes,
-                                        nullptr, &resume);
+                                        &consumed, nullptr, &nodes, nullptr,
+                                        &resume);
   ASSERT_FALSE(partial.ok());
   ASSERT_TRUE(resume.active());
   EXPECT_GT(resume.depth(), 0u);
@@ -236,8 +269,7 @@ TEST(ParseResume, ShrunkenFrontAutoInvalidatesAndMalformedClears) {
   // A shorter front cannot be "the same front with bytes appended": the
   // checkpoint is dropped automatically and the attempt restarts clean.
   auto shorter = protocol->parse_prefix(BytesView(wire).first(2), &consumed,
-                                        nullptr, nullptr, &nodes, nullptr,
-                                        &resume);
+                                        nullptr, &nodes, nullptr, &resume);
   ASSERT_FALSE(shorter.ok());
   EXPECT_TRUE(shorter.error().truncated());
   EXPECT_GT(resume.stats().invalidations, 0u);
@@ -245,8 +277,8 @@ TEST(ParseResume, ShrunkenFrontAutoInvalidatesAndMalformedClears) {
   // Malformed input clears the checkpoint (nothing to continue).
   Bytes garbage = {0x00, 0x01, 0x02};  // ftag must be ascii digits
   garbage.resize(24, 0x02);
-  auto bad = protocol->parse_prefix(garbage, &consumed, nullptr, nullptr,
-                                    &nodes, nullptr, &resume);
+  auto bad = protocol->parse_prefix(garbage, &consumed, nullptr, &nodes,
+                                    nullptr, &resume);
   // Whether this exact garbage parses or not, no checkpoint may survive a
   // non-truncated outcome.
   if (!bad.ok() && !bad.error().truncated()) {
@@ -255,8 +287,8 @@ TEST(ParseResume, ShrunkenFrontAutoInvalidatesAndMalformedClears) {
 
   // And an explicit invalidate always works, releasing pooled partials.
   auto again = protocol->parse_prefix(BytesView(wire).first(wire.size() / 2),
-                                      &consumed, nullptr, nullptr, &nodes,
-                                      nullptr, &resume);
+                                      &consumed, nullptr, &nodes, nullptr,
+                                      &resume);
   ASSERT_FALSE(again.ok());
   ASSERT_TRUE(resume.active());
   resume.invalidate();
@@ -264,8 +296,8 @@ TEST(ParseResume, ShrunkenFrontAutoInvalidatesAndMalformedClears) {
   EXPECT_EQ(resume.depth(), 0u);
 
   // After all of that, a clean full parse still round-trips.
-  auto full = protocol->parse_prefix(wire, &consumed, nullptr, nullptr,
-                                     &nodes, nullptr, &resume);
+  auto full = protocol->parse_prefix(wire, &consumed, nullptr, &nodes,
+                                     nullptr, &resume);
   ASSERT_TRUE(full.ok()) << full.error().message;
   EXPECT_EQ(consumed, wire.size());
 }

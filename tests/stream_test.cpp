@@ -330,14 +330,18 @@ TEST(ObfuscatedFramer, EnforcesMaxFrameSizeBeforeStalling) {
 
 /// Pass-through decorator counting decode() attempts, to pin how often the
 /// reader actually consults the framer under fine-grained delivery.
+/// `restart` drops the inner framer's checkpoint before each attempt: the
+/// restart-from-zero baseline of a resumable decode.
 class CountingFramer final : public Framer {
  public:
-  explicit CountingFramer(Framer& inner) : inner_(inner) {}
+  explicit CountingFramer(Framer& inner, bool restart = false)
+      : inner_(inner), restart_(restart) {}
   Status encode(BytesView payload, Bytes& out) override {
     return inner_.encode(payload, out);
   }
   FrameDecode decode(BytesView buffer) override {
     ++decodes;
+    if (restart_) inner_.invalidate_decode_state();
     return inner_.decode(buffer);
   }
   bool payload_aliases_buffer() const override {
@@ -349,6 +353,7 @@ class CountingFramer final : public Framer {
   }
 
   Framer& inner_;
+  bool restart_;
   int decodes = 0;
 };
 
@@ -418,11 +423,9 @@ TEST(MinNeed, ObfuscatedFramerFloorsAtTheFrameHeaderSize) {
 // --- resumable decode (delimiter-bounded frame specs) -----------------------
 
 std::unique_ptr<ObfuscatedFramer> delim_framer(
-    std::shared_ptr<const ObfuscatedProtocol> framing,
-    bool resumable = true) {
+    std::shared_ptr<const ObfuscatedProtocol> framing) {
   ObfuscatedFramer::Config cfg;
   cfg.payload_path = "fbody";
-  cfg.resumable_decode = resumable;
   auto framer = ObfuscatedFramer::create(std::move(framing), cfg);
   EXPECT_TRUE(framer.ok()) << framer.error().message;
   return std::move(*framer);
@@ -457,11 +460,12 @@ TEST(ResumableDecode, DelimiterFramerTrickleIsLinearNotQuadratic) {
   EXPECT_GT(stats.resumed, framed.size() / 2);
   // …and the delimiter scan never re-reads rejected bytes: total scanned
   // work stays O(frame), where restart-from-zero is O(frame²) (pinned
-  // against the disabled-resume baseline below).
+  // against the restart baseline below).
   EXPECT_LE(stats.scanned_bytes, 4 * framed.size());
 
-  auto baseline = delim_framer(framing, /*resumable=*/false);
-  StreamReader base_reader(*baseline);
+  auto baseline = delim_framer(framing);
+  CountingFramer restarting(*baseline, /*restart=*/true);
+  StreamReader base_reader(restarting);
   frames = 0;
   for (std::size_t i = 0; i < framed.size(); ++i) {
     base_reader.feed(BytesView(framed).subspan(i, 1));
