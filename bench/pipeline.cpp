@@ -5,24 +5,34 @@
 // in the same order and with the same SessionArena scratch, and times each
 // call separately:
 //
-//   serialize  check, copy, canonicalize, presence, forward (the compiled
-//              journal), fix_holders (the holder pass), emit
-//   parse      parse_wire, inverse (the compiled journal), fill_consts,
-//              canonicalize, check
+//   serialize  copy+canonicalize (the G1 walk: check, copy, constants,
+//              holders and presence), forward (the compiled journal),
+//              fix_holders (the wire holder pass), emit
+//   parse      parse_wire, inverse (the compiled journal), canonicalize
+//              (the G1 walk in place: constants, holders and check)
 //
 // for HTTP and Modbus requests at per_node 0, 2 and 4, with the journal
 // size J, the number of resolved ops the journal compiles to (`ops`: J
 // less the dropped ReadFromEnd entries) and the wire-graph node count on
-// each row. Each row is the best of five windows per stage, and every
-// stage includes one clock read (about 20 ns on a typical x86 host).
-// Before timing, each workload checks that the staged pipeline emits the
-// very bytes serialize_into emits and parses to the tree parse() returns,
-// so the bench cannot drift from the real path unnoticed.
+// each row. The identity protocols (per_node 0) skip forward and
+// fix_holders, as serialize_into does; their columns then time one clock
+// read. Each row is the best of five windows per stage, and every stage
+// includes one clock read (about 20 ns on a typical x86 host). Before
+// timing, each workload checks that the staged pipeline emits the very
+// bytes serialize_into emits and parses to the tree parse() returns, so
+// the bench cannot drift from the real path unnoticed.
+//
+// A build table follows: per row, the minimum over 50 runs of load_spec
+// (the request spec's text), Framework::generate (obfuscate and compile,
+// identity decision included) and analysis::analyze, in microseconds —
+// the in-process counterpart of perfbench's setup time.
 //
 // The last line is the ratio CI guards: HTTP per_node 4 over per_node 0,
-// serialize plus parse, within this run. The resolved op lists keep it at
-// about 8-12 on a 4-core x86 VM (the owner-bounded walks they replaced
-// read about 12-14, O(J × N) replay about 40-64).
+// serialize plus parse, within this run. It reads about 12-13 on a 4-core
+// x86 VM now that per_node 0, the identity protocol, skips the wire
+// passes; the resolved op lists kept it at about 8-12 before that (the
+// owner-bounded walks they replaced read about 12-14, O(J × N) replay
+// about 40-64).
 //
 // Usage: bench_pipeline [messages] [json_path]
 // Writes BENCH_pipeline.json (or json_path).
@@ -32,9 +42,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
+#include "analysis/analyzer.hpp"
 #include "harness.hpp"
+#include "protocols/http.hpp"
+#include "protocols/modbus.hpp"
 #include "runtime/derive.hpp"
 #include "runtime/parse.hpp"
 #include "session/arena.hpp"
@@ -46,12 +61,14 @@ using namespace protoobf;
 using Clock = std::chrono::steady_clock;
 
 constexpr int kTrials = 5;
+constexpr int kBuildRuns = 50;
 
-constexpr std::array<const char*, 7> kSerializeStages = {
-    "check", "copy", "canonicalize", "presence", "forward", "fix_holders",
-    "emit"};
-constexpr std::array<const char*, 5> kParseStages = {
-    "parse_wire", "inverse", "fill_consts", "canonicalize", "check"};
+constexpr std::array<const char*, 4> kSerializeStages = {
+    "copy+canonicalize", "forward", "fix_holders", "emit"};
+constexpr std::array<const char*, 3> kParseStages = {
+    "parse_wire", "inverse", "canonicalize"};
+constexpr std::array<const char*, 3> kBuildStages = {"load_spec", "generate",
+                                                     "analyze"};
 
 template <std::size_t N>
 using StageNs = std::array<double, N>;
@@ -64,6 +81,7 @@ struct Row {
   std::size_t wire_nodes = 0;
   StageNs<kSerializeStages.size()> serialize{};
   StageNs<kParseStages.size()> parse{};
+  StageNs<kBuildStages.size()> build{};  // microseconds per protocol
 };
 
 template <std::size_t N>
@@ -96,31 +114,32 @@ Status serialize_staged(const ObfuscatedProtocol& p,
                         StageNs<kSerializeStages.size()>& ns) {
   DeriveScratch& derive = arena.derive();
   StageClock clock;
-  if (Status s = ast::check(p.original(), message); !s) return s;
-  clock.mark(ns[0]);
-  InstPtr tree = ast::copy(&arena.nodes(), message);
-  clock.mark(ns[1]);
-  if (Status s = canonicalize(p.original(), *tree, &canon, &derive); !s) {
+  InstPtr tree;
+  if (Status s = canonical_copy(p.original(), canon, message, tree,
+                                &arena.nodes(), derive);
+      !s) {
     return s;
+  }
+  clock.mark(ns[0]);
+  if (!p.identity()) {
+    derive.streams.reset(msg_seed, p.journal().size());
+    if (Status s = forward_program(tree, p.program(), p.journal(),
+                                   derive.streams, &arena.nodes());
+        !s) {
+      return s;
+    }
+  }
+  clock.mark(ns[1]);
+  if (!p.identity()) {
+    if (Status s = fix_holders(p.wire_graph(), p.journal(), p.holders(),
+                               *tree, msg_seed, &arena.nodes(), &derive);
+        !s) {
+      return s;
+    }
   }
   clock.mark(ns[2]);
-  if (Status s = check_presence(p.original(), canon, *tree); !s) return s;
-  clock.mark(ns[3]);
-  derive.streams.reset(msg_seed, p.journal().size());
-  if (Status s = forward_program(tree, p.program(), p.journal(),
-                                 derive.streams, &arena.nodes());
-      !s) {
-    return s;
-  }
-  clock.mark(ns[4]);
-  if (Status s = fix_holders(p.wire_graph(), p.journal(), p.holders(), *tree,
-                             msg_seed, &arena.nodes(), &derive);
-      !s) {
-    return s;
-  }
-  clock.mark(ns[5]);
   if (Status s = emit_into(p.wire_graph(), *tree, arena.wire()); !s) return s;
-  clock.mark(ns[6]);
+  clock.mark(ns[3]);
   return Status::success();
 }
 
@@ -141,21 +160,36 @@ Expected<InstPtr> parse_staged(const ObfuscatedProtocol& p,
     return Unexpected(s.error());
   }
   clock.mark(ns[1]);
-  if (Status s = fill_consts(p.original(), **tree); !s) {
-    return Unexpected(s.error());
-  }
-  clock.mark(ns[2]);
-  if (Status s = canonicalize(p.original(), **tree, &canon,
-                              &arena.derive());
+  if (Status s = canonicalize_parsed(p.original(), canon, **tree,
+                                     arena.derive());
       !s) {
     return Unexpected(s.error());
   }
-  clock.mark(ns[3]);
-  if (Status s = ast::check(p.original(), **tree); !s) {
-    return Unexpected(s.error());
-  }
-  clock.mark(ns[4]);
+  clock.mark(ns[2]);
   return tree;
+}
+
+/// Minimum over kBuildRuns of each protocol-build step, in microseconds.
+bool measure_build(std::string_view spec, const ObfuscationConfig& config,
+                   StageNs<kBuildStages.size()>& us) {
+  us.fill(0);
+  for (int run = 0; run < kBuildRuns; ++run) {
+    StageNs<kBuildStages.size()> ns{};
+    StageClock clock;
+    auto graph = Framework::load_spec(spec);
+    clock.mark(ns[0]);
+    if (!graph) return false;
+    auto protocol = Framework::generate(*graph, config);
+    clock.mark(ns[1]);
+    if (!protocol) return false;
+    analysis::analyze(*protocol);
+    clock.mark(ns[2]);
+    for (std::size_t k = 0; k < us.size(); ++k) {
+      const double value = ns[k] / 1000.0;
+      us[k] = run == 0 ? value : std::min(us[k], value);
+    }
+  }
+  return true;
 }
 
 template <std::size_t N>
@@ -169,8 +203,8 @@ void keep_best(StageNs<N>& best, const StageNs<N>& trial, std::size_t count,
 
 /// Times one (workload, per_node) row. Returns false on any pipeline
 /// failure or disagreement with the real serialize/parse path.
-bool measure(const bench::Workload& workload, int per_node,
-             std::size_t messages, Row& row) {
+bool measure(const bench::Workload& workload, std::string_view spec,
+             int per_node, std::size_t messages, Row& row) {
   const Graph& g = workload.graphs[0];
   ObfuscationConfig config;
   config.seed = 2018;
@@ -239,22 +273,29 @@ bool measure(const bench::Workload& workload, int per_node,
     keep_best(row.serialize, ser, messages, t == 0);
     keep_best(row.parse, par, messages, t == 0);
   }
+  if (!measure_build(spec, config, row.build)) {
+    std::fprintf(stderr, "%s: protocol build failed\n",
+                 workload.name.c_str());
+    return false;
+  }
   return true;
 }
 
+/// `decimals`: 0 for the ns/msg tables, 1 for the build table's us.
 template <std::size_t N>
-void print_row(const char* op, const Row& row, const StageNs<N>& stages) {
+void print_row(const char* op, const Row& row, const StageNs<N>& stages,
+               int decimals = 0) {
   std::printf("%-10s %-11s %2d %4zu %4zu %6zu", op, row.workload.c_str(),
               row.per_node, row.journal, row.ops, row.wire_nodes);
-  for (double ns : stages) std::printf(" %12.0f", ns);
-  std::printf(" %12.0f\n", total(stages));
+  for (double value : stages) std::printf(" %17.*f", decimals, value);
+  std::printf(" %12.*f\n", decimals, total(stages));
 }
 
 template <std::size_t N>
 void print_header(const char* op, const std::array<const char*, N>& names) {
   std::printf("%-10s %-11s %2s %4s %4s %6s", op, "workload", "pn", "J", "ops",
               "nodes");
-  for (const char* name : names) std::printf(" %12s", name);
+  for (const char* name : names) std::printf(" %17s", name);
   std::printf(" %12s\n", "total");
 }
 
@@ -280,11 +321,12 @@ int main(int argc, char** argv) {
   }
 
   std::vector<Row> rows;
-  for (const bench::Workload& workload :
-       {bench::http_workload(), bench::modbus_workload()}) {
+  for (const auto& [workload, spec] :
+       {std::pair{bench::http_workload(), http::request_spec()},
+        std::pair{bench::modbus_workload(), modbus::request_spec()}}) {
     for (const int per_node : {0, 2, 4}) {
       Row row;
-      if (!measure(workload, per_node, messages, row)) return 1;
+      if (!measure(workload, spec, per_node, messages, row)) return 1;
       rows.push_back(std::move(row));
     }
   }
@@ -296,6 +338,9 @@ int main(int argc, char** argv) {
   for (const Row& row : rows) print_row("serialize", row, row.serialize);
   print_header("parse", kParseStages);
   for (const Row& row : rows) print_row("parse", row, row.parse);
+  std::printf("build — us per protocol, min of %d\n", kBuildRuns);
+  print_header("build", kBuildStages);
+  for (const Row& row : rows) print_row("build", row, row.build, 1);
 
   const auto both = [](const Row& row) {
     return total(row.serialize) + total(row.parse);
@@ -328,6 +373,8 @@ int main(int argc, char** argv) {
     write_stages(f, kSerializeStages, row.serialize);
     std::fprintf(f, ",\n     \"parse\": ");
     write_stages(f, kParseStages, row.parse);
+    std::fprintf(f, ",\n     \"build_us\": ");
+    write_stages(f, kBuildStages, row.build);
     std::fprintf(f, "}%s\n", i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"http_pn4_over_pn0\": %.3f\n}\n", ratio);

@@ -181,52 +181,10 @@ const Inst* find_path(const Graph& graph, const Inst& root,
 namespace {
 
 Status check_node(const Graph& graph, const Inst& inst) {
-  const Node& schema = graph.node(inst.schema);
-  const auto fail = [&](const std::string& what) {
-    return Unexpected("instance of '" + graph.path_of(inst.schema) +
-                      "': " + what);
-  };
-
-  switch (schema.type) {
-    case NodeType::Terminal:
-      if (!inst.children.empty()) return fail("terminal with children");
-      if (schema.boundary == BoundaryKind::Fixed && !inst.value.empty() &&
-          inst.value.size() != schema.fixed_size) {
-        return fail("value size " + std::to_string(inst.value.size()) +
-                    " != fixed size " + std::to_string(schema.fixed_size));
-      }
-      return Status::success();
-    case NodeType::Sequence: {
-      if (inst.children.size() != schema.children.size()) {
-        return fail("sequence child count mismatch");
-      }
-      for (std::size_t i = 0; i < inst.children.size(); ++i) {
-        if (inst.children[i]->schema != schema.children[i]) {
-          return fail("sequence child schema mismatch at index " +
-                      std::to_string(i));
-        }
-        if (Status s = check_node(graph, *inst.children[i]); !s) return s;
-      }
-      return Status::success();
-    }
-    case NodeType::Optional: {
-      if (!inst.present) return Status::success();
-      if (inst.children.size() != 1 ||
-          inst.children[0]->schema != schema.children[0]) {
-        return fail("present optional must hold exactly its sub-node");
-      }
-      return check_node(graph, *inst.children[0]);
-    }
-    case NodeType::Repetition:
-    case NodeType::Tabular: {
-      for (const auto& element : inst.children) {
-        if (element->schema != schema.children[0]) {
-          return fail("element schema mismatch");
-        }
-        if (Status s = check_node(graph, *element); !s) return s;
-      }
-      return Status::success();
-    }
+  if (Status s = check_shape(graph, inst); !s) return s;
+  if (!inst.present) return Status::success();
+  for (const auto& child : inst.children) {
+    if (Status s = check_node(graph, *child); !s) return s;
   }
   return Status::success();
 }
@@ -255,6 +213,51 @@ void dump_node(const Graph& graph, const Inst& inst, int depth,
 }
 
 }  // namespace
+
+Status check_shape(const Graph& graph, const Inst& inst) {
+  const Node& schema = graph.node(inst.schema);
+  const auto fail = [&](const std::string& what) {
+    return Unexpected("instance of '" + graph.path_of(inst.schema) +
+                      "': " + what);
+  };
+
+  switch (schema.type) {
+    case NodeType::Terminal:
+      if (!inst.children.empty()) return fail("terminal with children");
+      if (schema.boundary == BoundaryKind::Fixed && !inst.value.empty() &&
+          inst.value.size() != schema.fixed_size) {
+        return fail("value size " + std::to_string(inst.value.size()) +
+                    " != fixed size " + std::to_string(schema.fixed_size));
+      }
+      return Status::success();
+    case NodeType::Sequence:
+      if (inst.children.size() != schema.children.size()) {
+        return fail("sequence child count mismatch");
+      }
+      for (std::size_t i = 0; i < inst.children.size(); ++i) {
+        if (inst.children[i]->schema != schema.children[i]) {
+          return fail("sequence child schema mismatch at index " +
+                      std::to_string(i));
+        }
+      }
+      return Status::success();
+    case NodeType::Optional:
+      if (inst.present && (inst.children.size() != 1 ||
+                           inst.children[0]->schema != schema.children[0])) {
+        return fail("present optional must hold exactly its sub-node");
+      }
+      return Status::success();
+    case NodeType::Repetition:
+    case NodeType::Tabular:
+      for (const auto& element : inst.children) {
+        if (element->schema != schema.children[0]) {
+          return fail("element schema mismatch");
+        }
+      }
+      return Status::success();
+  }
+  return Status::success();
+}
 
 Status check(const Graph& graph, const Inst& root) {
   if (root.schema != graph.root()) {

@@ -105,6 +105,11 @@ const Inst* find_path(const Graph& graph, const Inst& root,
 /// leaves, fixed sizes of non-empty terminal values).
 Status check(const Graph& graph, const Inst& root);
 
+/// check()'s rules for one instance: its own shape and its children's
+/// schemas, without descending. check() applies it to every instance it
+/// reaches; the derive walks (runtime/derive.hpp) apply it as they go.
+Status check_shape(const Graph& graph, const Inst& inst);
+
 /// Debug rendering: one line per instance, indented, values in hex.
 std::string dump(const Graph& graph, const Inst& root);
 

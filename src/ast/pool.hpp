@@ -83,8 +83,9 @@ InstPtr terminal(InstPool* pool, NodeId schema, Bytes&& value);
 InstPtr absent(InstPool* pool, NodeId schema);
 
 /// Deep copy with every node drawn from `pool` (heap when null) and every
-/// terminal payload copied into recycled capacity. This is the
-/// serialize-side workspace copy that replaced ast::clone on the hot path.
+/// terminal payload copied into recycled capacity. (Serialize builds its
+/// workspace copy with the G1 walk instead: runtime/derive.hpp's
+/// canonical_copy.)
 InstPtr copy(InstPool* pool, const Inst& inst);
 
 }  // namespace ast

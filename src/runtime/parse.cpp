@@ -87,8 +87,9 @@ class WireParser {
   }
 
   /// Resolves `ref` from the dependant's parent `up` along its route, runs
-  /// its read plan over the parsed subtree in registers borrowed from the
-  /// scratch pool, and hands the logical bytes to `use`.
+  /// its read plan over the parsed subtree, and hands the logical bytes to
+  /// `use`. A direct plan reads the leaf in place; any other borrows its
+  /// registers from the scratch pool.
   template <typename T, typename Use>
   Expected<T> read_reference(NodeId ref, const Ancestor* up, const Reader& r,
                              Use&& use) const {
@@ -102,7 +103,8 @@ class WireParser {
       return fail(r, "reference target '" + wire_.node(ref).name +
                          "' not yet parsed");
     }
-    Bytes registers = scratch_ != nullptr ? scratch_->acquire() : Bytes();
+    const bool borrow = scratch_ != nullptr && !info->plan.direct();
+    Bytes registers = borrow ? scratch_->acquire() : Bytes();
     auto bytes = read_value(info->plan, *target, journal_, registers);
     Expected<T> out =
         bytes ? use(*bytes, *info)
@@ -110,7 +112,7 @@ class WireParser {
                                         wire_.node(ref).name +
                                         "' does not invert: " +
                                         bytes.error().message));
-    if (scratch_ != nullptr) scratch_->release(std::move(registers));
+    if (borrow) scratch_->release(std::move(registers));
     return out;
   }
 

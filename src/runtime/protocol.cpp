@@ -7,9 +7,35 @@
 
 namespace protoobf {
 
+namespace {
+
+/// Node for node, every attribute that shapes a wire image or its parse.
+/// Names are left out: no byte depends on them, and each error names the
+/// nodes of the graph it named before.
+bool same_nodes(const Graph& a, const Graph& b) {
+  if (a.root() != b.root() || a.arena_size() != b.arena_size()) return false;
+  for (NodeId id = 0; id < a.arena_size(); ++id) {
+    const Node& x = a.node(id);
+    const Node& y = b.node(id);
+    if (x.type != y.type || x.boundary != y.boundary ||
+        x.fixed_size != y.fixed_size || x.delimiter != y.delimiter ||
+        x.ref != y.ref || x.encoding != y.encoding ||
+        x.has_const != y.has_const || x.const_value != y.const_value ||
+        x.condition.kind != y.condition.kind ||
+        x.condition.ref != y.condition.ref ||
+        x.condition.values != y.condition.values ||
+        x.mirrored != y.mirrored || x.children != y.children) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
 ObfuscatedProtocol::ObfuscatedProtocol(Graph original, ObfuscationResult result,
                                        JournalProgram program,
-                                       HolderTable holders)
+                                       HolderTable holders, bool identity)
     : original_(std::move(original)),
       wire_(std::move(result.graph)),
       journal_(std::move(result.journal)),
@@ -17,7 +43,8 @@ ObfuscatedProtocol::ObfuscatedProtocol(Graph original, ObfuscationResult result,
       program_(std::move(program)),
       holders_(std::move(holders)),
       // An empty journal's read plans are single leaves: this cannot fail.
-      canon_holders_(build_holder_table(original_, original_, {}).value()) {}
+      canon_holders_(build_holder_table(original_, original_, {}).value()),
+      identity_(identity) {}
 
 Expected<ObfuscatedProtocol> ObfuscatedProtocol::assemble(
     Graph original, ObfuscationResult result) {
@@ -30,8 +57,11 @@ Expected<ObfuscatedProtocol> ObfuscatedProtocol::assemble(
   for (const AppliedTransform& e : result.journal) {
     ++result.stats.per_kind[static_cast<std::size_t>(e.kind)];
   }
+  const bool identity =
+      result.journal.empty() && same_nodes(original, result.graph);
   return ObfuscatedProtocol(std::move(original), std::move(result),
-                            std::move(*program), std::move(*holders));
+                            std::move(*program), std::move(*holders),
+                            identity);
 }
 
 Expected<ObfuscatedProtocol> ObfuscatedProtocol::create(
@@ -74,31 +104,29 @@ Status ObfuscatedProtocol::serialize_into(const Inst& message,
                                           std::vector<FieldSpan>* spans,
                                           InstPool* nodes,
                                           DeriveScratch* derive) const {
-  if (Status s = ast::check(original_, message); !s) return s;
-  // The caller's tree is read-only; the transformation passes mutate a
-  // workspace copy drawn from the node pool. With a session pool attached
-  // the whole copy lands in recycled nodes and recycled payload capacity —
-  // the clone that used to dominate the serialize path is gone.
-  InstPtr tree = ast::copy(nodes, message);
-  if (Status s = protoobf::canonicalize(original_, *tree, &canon_holders_,
-                                        derive);
-      !s) {
-    return s;
-  }
-  if (Status s = check_presence(original_, canon_holders_, *tree); !s) return s;
-
   DeriveScratch local_scratch;
   if (derive == nullptr) derive = &local_scratch;
-  derive->streams.reset(msg_seed, journal_.size());
-  if (Status s = forward_program(tree, program_, journal_, derive->streams,
-                                 nodes);
+  // The caller's tree is read-only; the passes mutate a workspace copy
+  // drawn from the node pool, which the G1 walk builds as it checks and
+  // canonicalizes the message.
+  InstPtr tree;
+  if (Status s = canonical_copy(original_, canon_holders_, message, tree,
+                                nodes, *derive);
       !s) {
     return s;
   }
-  if (Status s = fix_holders(wire_, journal_, holders_, *tree, msg_seed,
-                             nodes, derive);
-      !s) {
-    return s;
+  if (!identity_) {
+    derive->streams.reset(msg_seed, journal_.size());
+    if (Status s = forward_program(tree, program_, journal_, derive->streams,
+                                   nodes);
+        !s) {
+      return s;
+    }
+    if (Status s = fix_holders(wire_, journal_, holders_, *tree, msg_seed,
+                               nodes, derive);
+        !s) {
+      return s;
+    }
   }
   return emit_into(wire_, *tree, out, spans);
 }
@@ -122,8 +150,8 @@ Expected<InstPtr> ObfuscatedProtocol::parse_prefix(BytesView buffer,
   return finish_parse(std::move(tree), nodes, derive);
 }
 
-/// Shared tail of parse()/parse_prefix(): inverse transformations plus the
-/// canonical-form integrity checks.
+/// Shared tail of parse()/parse_prefix(): inverse transformations, then
+/// the G1 walk, which canonicalizes the result and checks its integrity.
 Expected<InstPtr> ObfuscatedProtocol::finish_parse(Expected<InstPtr> tree,
                                                    InstPool* nodes,
                                                    DeriveScratch* derive) const {
@@ -131,29 +159,18 @@ Expected<InstPtr> ObfuscatedProtocol::finish_parse(Expected<InstPtr> tree,
   if (Status s = inverse_program(*tree, program_, journal_, nodes); !s) {
     return Unexpected(s.error());
   }
-  // fill_consts doubles as an integrity check: a recovered constant field
-  // that does not match the specification means the wire was corrupt (or
-  // produced with different transformations).
-  if (Status s = fill_consts(original_, **tree); !s) {
-    return Unexpected("parsed message rejected: " + s.error().message);
-  }
-  if (Status s = protoobf::canonicalize(original_, **tree, &canon_holders_,
-                                        derive);
+  DeriveScratch local_scratch;
+  if (derive == nullptr) derive = &local_scratch;
+  if (Status s = canonicalize_parsed(original_, canon_holders_, **tree,
+                                     *derive);
       !s) {
     return Unexpected(s.error());
-  }
-  if (Status s = ast::check(original_, **tree); !s) {
-    return Unexpected("parsed message malformed: " + s.error().message);
   }
   return tree;
 }
 
 Status ObfuscatedProtocol::canonicalize(Inst& message) const {
-  if (Status s = protoobf::canonicalize(original_, message, &canon_holders_);
-      !s) {
-    return s;
-  }
-  return check_presence(original_, canon_holders_, message);
+  return protoobf::canonicalize(original_, message, &canon_holders_);
 }
 
 }  // namespace protoobf

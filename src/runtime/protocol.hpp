@@ -9,6 +9,15 @@
 // that perform each node's transformations on the fly at that node's
 // instances, as the paper's generated code does.
 //
+// Each direction walks the G1 tree once (runtime/derive.hpp): serialize
+// copies the caller's tree into pool nodes while it checks it against G1
+// and canonicalizes it, then runs the compiled journal forward, derives the
+// wire holders (fix_holders) and emits; parse reads the wire (parse_wire),
+// inverts the journal and canonicalizes the result in place, which also
+// checks it. The identity protocol — an empty journal over a wire graph
+// equal to G1 — serializes the canonical copy as it is: the forward pass
+// and fix_holders would leave it unchanged.
+//
 // Round-trip contract (property-tested): for any message m built against
 // G1, parse(serialize(m)) compares equal to canonical(m) — canonical
 // meaning constant fields filled and derived fields recomputed.
@@ -50,6 +59,12 @@ class ObfuscatedProtocol {
   const JournalProgram& program() const { return program_; }
   const HolderTable& holders() const { return holders_; }
 
+  /// True when the journal is empty and the wire graph equals G1 node for
+  /// node: serialize emits its canonical copy without the forward pass or
+  /// fix_holders. An empty journal alone is not enough: a persisted
+  /// artifact may pair G1 with a wire graph that sizes a holder otherwise.
+  bool identity() const { return identity_; }
+
   /// Serializes a logical message (an instance of G1). `msg_seed` drives the
   /// per-message randomness (split halves, pad bytes): the same message with
   /// a different seed produces a different wire image. Optional `spans`
@@ -59,12 +74,12 @@ class ObfuscatedProtocol {
 
   /// Allocation-lean variant: serializes into `out`, replacing its contents
   /// but reusing its capacity. The user's tree is never cloned on the heap:
-  /// the canonicalize/forward-transform passes mutate a workspace copy
-  /// whose nodes come from `nodes` (when given) — the session arena's pool
-  /// — so a steady-state session serializes with O(1) small allocations
-  /// per message (derive-pass scratch) instead of O(nodes). `derive`, when
-  /// given, backs the derive passes' work vectors the same way, including
-  /// the buffer they emit each measured region into.
+  /// the G1 walk copies it into a workspace whose nodes come from `nodes`
+  /// (when given) — the session arena's pool — and the forward-transform
+  /// and holder passes mutate that copy, so a steady-state session
+  /// serializes without heap traffic. `derive`, when given, backs the walk's
+  /// and the derive passes' work vectors the same way, including the buffer
+  /// they emit each measured region into.
   Status serialize_into(const Inst& message, std::uint64_t msg_seed,
                         Bytes& out, std::vector<FieldSpan>* spans = nullptr,
                         InstPool* nodes = nullptr,
@@ -98,15 +113,18 @@ class ObfuscatedProtocol {
                                  ParseResume* resume = nullptr) const;
 
   /// Fills constants and derived fields of a user-built logical tree so it
-  /// compares equal with parse() results.
+  /// compares equal with parse() results, and checks every Optional's
+  /// presence against its condition, as serialize() does.
   Status canonicalize(Inst& message) const;
 
  private:
   ObfuscatedProtocol(Graph original, ObfuscationResult result,
-                     JournalProgram program, HolderTable holders);
+                     JournalProgram program, HolderTable holders,
+                     bool identity);
 
   /// create()'s and from_parts()' tail: compiles the journal and the
-  /// holder table, and counts the statistics from the journal.
+  /// holder table, counts the statistics from the journal and decides
+  /// identity().
   static Expected<ObfuscatedProtocol> assemble(Graph original,
                                                ObfuscationResult result);
 
@@ -120,6 +138,7 @@ class ObfuscatedProtocol {
   JournalProgram program_;
   HolderTable holders_;
   HolderTable canon_holders_;  // G1's own table (empty journal)
+  bool identity_ = false;
 };
 
 }  // namespace protoobf

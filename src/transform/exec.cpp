@@ -390,6 +390,18 @@ Status inverse_node(InstPtr& slot, const JournalProgram& program,
 
 // --- read plans -------------------------------------------------------------
 
+/// The terminal a leaf step reads below `top`; null when it is not where
+/// the lineage puts it.
+const Inst* leaf_of(const ReadPlan::Step& step, const Inst& top) {
+  const Inst* leaf = &top;
+  for (const std::uint32_t k : step.path) {
+    if (k >= leaf->children.size()) break;
+    leaf = leaf->children[k].get();
+  }
+  if (leaf->schema != step.node || !leaf->children.empty()) return nullptr;
+  return leaf;
+}
+
 /// Evaluates step `s` of `plan` and appends its bytes to `registers`,
 /// returning where they start: a leaf loads its terminal, a split step
 /// combines its halves' bytes as inverse_split does; either then undoes
@@ -400,12 +412,8 @@ Expected<std::size_t> eval_step(const ReadPlan& plan, std::size_t s,
   const ReadPlan::Step& step = plan.steps[s];
   std::size_t out = registers.size();
   if (step.split == ReadPlan::kLeaf) {
-    const Inst* leaf = &top;
-    for (const std::uint32_t k : step.path) {
-      if (k >= leaf->children.size()) break;
-      leaf = leaf->children[k].get();
-    }
-    if (leaf->schema != step.node || !leaf->children.empty()) {
+    const Inst* leaf = leaf_of(step, top);
+    if (leaf == nullptr) {
       return Unexpected("no terminal " + std::to_string(step.node) +
                         " where the lineage puts it");
     }
@@ -509,6 +517,11 @@ Status inverse_program(InstPtr& root, const JournalProgram& program,
 
 Expected<BytesView> read_value(const ReadPlan& plan, const Inst& top,
                                const Journal& journal, Bytes& registers) {
+  if (plan.direct()) {
+    if (const Inst* leaf = leaf_of(plan.steps[0], top)) {
+      return BytesView(leaf->value);
+    }
+  }
   registers.clear();
   if (plan.steps.empty()) return Unexpected("holder without a read plan");
   auto value = eval_step(plan, 0, top, journal, registers);

@@ -21,6 +21,10 @@
 // Both draw entry i's bytes from its own keyed stream (EntryStreams), so
 // they emit identical wire images.
 //
+// Reference reads (read_value) run a holder's or condition target's read
+// plan over its wire subtree. A plan that is one untransformed leaf, as
+// every plan of the identity protocol is, reads that leaf in place.
+//
 // Every operation satisfies inverse(forward(t)) == t by construction
 // (tested exhaustively in tests/transform_test.cpp; the dropped
 // ReadFromEnd in tests/op_list_test.cpp).
@@ -93,10 +97,12 @@ Status inverse_program(InstPtr& root, const JournalProgram& program,
                        const Journal& journal, InstPool* pool = nullptr);
 
 /// Reads the logical value of a holder or condition target off its wire
-/// subtree `top` with its read plan (transform/lineage.hpp), in `registers`
-/// (cleared first, capacity reused) and without copying a node. The view
-/// points into `registers`. Fails where invert_chain would: a leaf missing
-/// from the subtree, or arithmetic split halves of unequal size.
+/// subtree `top` with its read plan (transform/lineage.hpp), without
+/// copying a node. A direct() plan reads in place: the view is the leaf's
+/// own value, and `registers` is not touched. Any other plan evaluates in
+/// `registers` (cleared first, capacity reused), and the view points into
+/// it. Fails where invert_chain would: a leaf missing from the subtree, or
+/// arithmetic split halves of unequal size.
 Expected<BytesView> read_value(const ReadPlan& plan, const Inst& top,
                                const Journal& journal, Bytes& registers);
 

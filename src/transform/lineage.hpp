@@ -56,6 +56,12 @@ struct ReadPlan {
     std::vector<std::uint32_t> consts;  // Const* entries, in journal order
   };
   std::vector<Step> steps;  // steps[0] is the origin
+
+  /// One untransformed leaf: the logical value is the leaf's own bytes.
+  bool direct() const {
+    return steps.size() == 1 && steps[0].split == kLeaf &&
+           steps[0].consts.empty();
+  }
 };
 
 /// Where a referenced wire top sits, fixed once per graph. validate() puts

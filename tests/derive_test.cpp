@@ -1,5 +1,6 @@
-// Derived-field machinery tests: canonicalize (logical values against G1)
-// and fix_holders (wire values against G(n+1) with lineage replay).
+// Derived-field machinery tests: the G1 walk (logical values against G1:
+// constants, holders, presence) and fix_holders (wire values against
+// G(n+1) with lineage replay).
 #include <gtest/gtest.h>
 
 #include "core/protoobf.hpp"
@@ -26,13 +27,16 @@ m: seq end {
 )");
   Message ok(g);
   ok.set_text("rest", "x");
-  ASSERT_TRUE(fill_consts(g, ok.root()).ok());
+  ASSERT_TRUE(canonicalize(g, ok.root()).ok());
   EXPECT_EQ(ok.get("magic").value(), (Bytes{0xbe, 0xef}));
 
   Message bad(g);
   bad.set("magic", Bytes{0x00, 0x01});
   bad.set_text("rest", "x");
-  EXPECT_FALSE(fill_consts(g, bad.root()).ok());
+  const Status s = canonicalize(g, bad.root());
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.error().message,
+            "constant field 'magic' set to a non-constant value");
 }
 
 TEST(Canonicalize, ComputesNestedLengths) {
@@ -145,7 +149,29 @@ m: seq end {
   }
 }
 
+TEST(Canonicalize, RejectsAnInstanceOfNoNode) {
+  // A hand-built tree may carry any schema id; the walk refuses one outside
+  // the graph instead of looking it up.
+  Graph g = spec(R"(
+protocol P
+m: seq end {
+  a: terminal fixed(1)
+  rest: terminal end
+}
+)");
+  Message msg(g);
+  msg.set("a", Bytes{1});
+  msg.set_text("rest", "r");
+  msg.root().children[1]->schema = static_cast<NodeId>(g.arena_size() + 7);
+  const Status s = canonicalize(g, msg.root());
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.error().message,
+            "instance of unknown node " + std::to_string(g.arena_size() + 7));
+}
+
 TEST(CheckPresence, DetectsBothMismatchDirections) {
+  // canonicalize checks every Optional's presence after it derived the
+  // holders, as serialize does.
   Graph g = spec(R"(
 protocol P
 m: seq end {
@@ -154,12 +180,10 @@ m: seq end {
   rest: terminal end
 }
 )");
-  const HolderTable table = build_holder_table(g, g, {}).value();
   Message missing(g);
   missing.set_uint("kind", 1);  // condition true but optional absent
   missing.set_text("rest", "r");
-  ASSERT_TRUE(canonicalize(g, missing.root()).ok());
-  const Status absent = check_presence(g, table, missing.root());
+  const Status absent = canonicalize(g, missing.root());
   ASSERT_FALSE(absent.ok());
   EXPECT_NE(absent.error().message.find("absent but its condition evaluates "
                                         "to true"),
@@ -170,8 +194,7 @@ m: seq end {
   spurious.set_uint("kind", 0);
   spurious.set("xv", Bytes{1});  // materializes the optional
   spurious.set_text("rest", "r");
-  ASSERT_TRUE(canonicalize(g, spurious.root()).ok());
-  const Status present = check_presence(g, table, spurious.root());
+  const Status present = canonicalize(g, spurious.root());
   ASSERT_FALSE(present.ok());
   EXPECT_NE(present.error().message.find("present but its condition "
                                          "evaluates to false"),
@@ -179,7 +202,7 @@ m: seq end {
       << present.error().message;
 
   spurious.set_uint("kind", 1);
-  EXPECT_TRUE(check_presence(g, table, spurious.root()).ok());
+  EXPECT_TRUE(canonicalize(g, spurious.root()).ok());
 }
 
 TEST(FixHolders, WireLengthTracksTransformedSize) {

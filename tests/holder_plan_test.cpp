@@ -39,6 +39,7 @@
 #include "runtime/derive.hpp"
 #include "runtime/emit.hpp"
 #include "runtime/parse.hpp"
+#include "reference_passes.hpp"
 #include "transform/exec.hpp"
 
 namespace protoobf {
@@ -128,7 +129,7 @@ Expected<std::uint64_t> measure(const Graph& graph, const Pair& pair) {
 }
 
 Status reference_canonicalize(const Graph& g1, Inst& root) {
-  if (Status s = fill_consts(g1, root); !s) return s;
+  if (Status s = reference::fill_consts(g1, root); !s) return s;
   Bytes encoded;
   for (NodeId id : g1.dfs_order()) {
     if (g1.node(id).type != NodeType::Terminal ||
@@ -282,10 +283,10 @@ Bytes check_derivation(const ObfuscatedProtocol& p, const Inst& message,
     tally.mismatch(where + ": canonical trees differ");
     return {};
   }
-  if (!check_presence(p.original(),
-                      build_holder_table(p.original(), p.original(), {})
-                          .value(),
-                      *canonical)) {
+  if (!reference::check_presence(
+          p.original(),
+          build_holder_table(p.original(), p.original(), {}).value(),
+          *canonical)) {
     tally.mismatch(where + ": canonical tree fails its conditions");
     return {};
   }

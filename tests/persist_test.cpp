@@ -268,5 +268,50 @@ TEST(Persist, RejectsGraphRootOutsideTheArena) {
   EXPECT_FALSE(load_artifact(artifact).ok());
 }
 
+std::string length_spec(int len_width) {
+  return "protocol P\nm: seq end {\n  len: terminal fixed(" +
+         std::to_string(len_width) +
+         ")\n  body: terminal length(len)\n  rest: terminal end\n}\n";
+}
+
+// Serialize skips the forward pass and fix_holders only for the identity
+// protocol: an empty journal over a wire graph equal to G1. An empty journal
+// alone is not enough. This artifact's wire graph sizes `len` at 4 bytes
+// where G1 says 2, so the wire holder must still be derived against the
+// wire graph, as it always was.
+TEST(Persist, EmptyJournalOverAnotherWireGraphIsNotTheIdentity) {
+  Graph g1 = Framework::load_spec(length_spec(2)).value();
+  auto protocol = ObfuscatedProtocol::from_parts(
+      g1.clone(), Framework::load_spec(length_spec(4)).value(), {});
+  ASSERT_TRUE(protocol.ok()) << protocol.error().message;
+  EXPECT_FALSE(protocol->identity());
+
+  Message msg(g1);
+  ASSERT_TRUE(msg.set_text("body", "hello").ok());
+  ASSERT_TRUE(msg.set_text("rest", "r").ok());
+  auto wire = protocol->serialize(msg.root(), 1);
+  ASSERT_TRUE(wire.ok()) << wire.error().message;
+  EXPECT_EQ(to_hex(*wire), "0000000568656c6c6f72");
+
+  auto back = protocol->parse(*wire);
+  ASSERT_TRUE(back.ok()) << back.error().message;
+  InstPtr canonical = ast::clone(msg.root());
+  ASSERT_TRUE(protocol->canonicalize(*canonical).ok());
+  EXPECT_TRUE(ast::equal(**back, *canonical));
+
+  // The same parts with equal graphs are the identity, and so is every
+  // per_node 0 compilation; an obfuscated one is not.
+  auto same = ObfuscatedProtocol::from_parts(
+      g1.clone(), Framework::load_spec(length_spec(2)).value(), {});
+  ASSERT_TRUE(same.ok()) << same.error().message;
+  EXPECT_TRUE(same->identity());
+  for (const int per_node : {0, 2}) {
+    ObfuscationConfig cfg;
+    cfg.per_node = per_node;
+    cfg.seed = 5;
+    EXPECT_EQ(Framework::generate(g1, cfg).value().identity(), per_node == 0);
+  }
+}
+
 }  // namespace
 }  // namespace protoobf
