@@ -174,7 +174,7 @@ int main(int argc, char** argv) {
     }
   });
 
-  const InstPool::Stats pool = session.arena().nodes().stats();
+  const InstPool::Stats pool = session.arena().workspace().nodes.stats();
 
   std::printf("alloc_profile — %s, per_node=%d, %zu msgs x %d repeats, "
               "%.1f logical nodes/msg\n",

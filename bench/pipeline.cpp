@@ -2,7 +2,7 @@
 //
 // ObfuscatedProtocol::serialize_into and finish_parse are pipelines of a
 // few passes over one message tree. This bench calls the same functions,
-// in the same order and with the same SessionArena scratch, and times each
+// in the same order and in the same SessionArena workspace, and times each
 // call separately:
 //
 //   serialize  copy+canonicalize (the G1 walk: check, copy, constants,
@@ -14,13 +14,15 @@
 // for HTTP and Modbus requests at per_node 0, 2 and 4, with the journal
 // size J, the number of resolved ops the journal compiles to (`ops`: J
 // less the dropped ReadFromEnd entries) and the wire-graph node count on
-// each row. The identity protocols (per_node 0) skip forward and
-// fix_holders, as serialize_into does; their columns then time one clock
-// read. Each row is the best of five windows per stage, and every stage
-// includes one clock read (about 20 ns on a typical x86 host). Before
-// timing, each workload checks that the staged pipeline emits the very
-// bytes serialize_into emits and parses to the tree parse() returns, so
-// the bench cannot drift from the real path unnoticed.
+// each row. Each row is the best of five windows per stage. A stage's time
+// includes one clock mark, so every window also times as many marks with
+// nothing between them; the best of those is the `clock` line (ns per
+// mark), and every stage is reported net of it, floored at 0. The identity
+// protocols (per_node 0) skip forward and fix_holders, as serialize_into
+// does; those columns then read about 0. Before timing, each workload
+// checks that the staged pipeline emits the very bytes serialize_into
+// emits and parses to the tree parse() returns, so the bench cannot drift
+// from the real path unnoticed.
 //
 // A build table follows: per row, the minimum over 50 runs of load_spec
 // (the request spec's text), Framework::generate (obfuscate and compile,
@@ -28,11 +30,11 @@
 // the in-process counterpart of perfbench's setup time.
 //
 // The last line is the ratio CI guards: HTTP per_node 4 over per_node 0,
-// serialize plus parse, within this run. It reads about 12-13 on a 4-core
-// x86 VM now that per_node 0, the identity protocol, skips the wire
-// passes; the resolved op lists kept it at about 8-12 before that (the
-// owner-bounded walks they replaced read about 12-14, O(J × N) replay
-// about 40-64).
+// serialize plus parse net of the clock, within this run. It reads about
+// 14 on a 4-core x86 VM (about 13 gross) now that per_node 0, the identity
+// protocol, skips the wire passes; the resolved op lists kept it at about
+// 8-12 gross before that (the owner-bounded walks they replaced read about
+// 12-14, O(J × N) replay about 40-64).
 //
 // Usage: bench_pipeline [messages] [json_path]
 // Writes BENCH_pipeline.json (or json_path).
@@ -52,6 +54,7 @@
 #include "protocols/modbus.hpp"
 #include "runtime/derive.hpp"
 #include "runtime/parse.hpp"
+#include "runtime/workspace.hpp"
 #include "session/arena.hpp"
 #include "transform/exec.hpp"
 
@@ -82,6 +85,7 @@ struct Row {
   StageNs<kSerializeStages.size()> serialize{};
   StageNs<kParseStages.size()> parse{};
   StageNs<kBuildStages.size()> build{};  // microseconds per protocol
+  double clock = 0;                      // ns per mark, best window
 };
 
 template <std::size_t N>
@@ -112,19 +116,17 @@ Status serialize_staged(const ObfuscatedProtocol& p,
                         const HolderTable& canon, const Inst& message,
                         std::uint64_t msg_seed, SessionArena& arena,
                         StageNs<kSerializeStages.size()>& ns) {
-  DeriveScratch& derive = arena.derive();
+  Workspace& ws = arena.workspace();
   StageClock clock;
   InstPtr tree;
-  if (Status s = canonical_copy(p.original(), canon, message, tree,
-                                &arena.nodes(), derive);
-      !s) {
+  if (Status s = canonical_copy(p.original(), canon, message, tree, ws); !s) {
     return s;
   }
   clock.mark(ns[0]);
   if (!p.identity()) {
-    derive.streams.reset(msg_seed, p.journal().size());
-    if (Status s = forward_program(tree, p.program(), p.journal(),
-                                   derive.streams, &arena.nodes());
+    ws.streams.reset(msg_seed, p.journal().size());
+    if (Status s = forward_program(tree, p.program(), p.journal(), ws.streams,
+                                   &ws.nodes);
         !s) {
       return s;
     }
@@ -132,7 +134,7 @@ Status serialize_staged(const ObfuscatedProtocol& p,
   clock.mark(ns[1]);
   if (!p.identity()) {
     if (Status s = fix_holders(p.wire_graph(), p.journal(), p.holders(),
-                               *tree, msg_seed, &arena.nodes(), &derive);
+                               *tree, msg_seed, ws);
         !s) {
       return s;
     }
@@ -149,20 +151,18 @@ Expected<InstPtr> parse_staged(const ObfuscatedProtocol& p,
                                const HolderTable& canon,
                                BytesView wire, SessionArena& arena,
                                StageNs<kParseStages.size()>& ns) {
+  Workspace& ws = arena.workspace();
   StageClock clock;
-  auto tree = parse_wire(p.wire_graph(), p.journal(), p.holders(), wire,
-                         &arena.scratch(), &arena.nodes());
+  auto tree =
+      parse_wire(p.wire_graph(), p.journal(), p.holders(), wire, ws);
   clock.mark(ns[0]);
   if (!tree) return tree;
-  if (Status s = inverse_program(*tree, p.program(), p.journal(),
-                                 &arena.nodes());
+  if (Status s = inverse_program(*tree, p.program(), p.journal(), &ws.nodes);
       !s) {
     return Unexpected(s.error());
   }
   clock.mark(ns[1]);
-  if (Status s = canonicalize_parsed(p.original(), canon, **tree,
-                                     arena.derive());
-      !s) {
+  if (Status s = canonicalize_parsed(p.original(), canon, **tree, ws); !s) {
     return Unexpected(s.error());
   }
   clock.mark(ns[2]);
@@ -199,6 +199,13 @@ void keep_best(StageNs<N>& best, const StageNs<N>& trial, std::size_t count,
     const double per_msg = trial[k] / static_cast<double>(count);
     best[k] = first ? per_msg : std::min(best[k], per_msg);
   }
+}
+
+/// Takes one clock mark's cost (`clock`, in the stages' unit) off every
+/// stage, floored at 0.
+template <std::size_t N>
+void net_of_clock(StageNs<N>& stages, double clock) {
+  for (double& value : stages) value = std::max(0.0, value - clock);
 }
 
 /// Times one (workload, per_node) row. Returns false on any pipeline
@@ -258,6 +265,9 @@ bool measure(const bench::Workload& workload, std::string_view spec,
     wires.push_back(std::move(*wire));
   }
 
+  // As many marks as the window's stages made, with nothing between them.
+  const std::size_t marks =
+      messages * (kSerializeStages.size() + kParseStages.size());
   for (int t = 0; t < kTrials; ++t) {
     StageNs<kSerializeStages.size()> ser{};
     StageNs<kParseStages.size()> par{};
@@ -270,8 +280,13 @@ bool measure(const bench::Workload& workload, std::string_view spec,
     for (const Bytes& wire : wires) {
       if (!parse_staged(p, canon, wire, arena, par)) return false;
     }
+    double idle = 0;
+    StageClock clock;
+    for (std::size_t i = 0; i < marks; ++i) clock.mark(idle);
     keep_best(row.serialize, ser, messages, t == 0);
     keep_best(row.parse, par, messages, t == 0);
+    const double per_mark = idle / static_cast<double>(marks);
+    row.clock = t == 0 ? per_mark : std::min(row.clock, per_mark);
   }
   if (!measure_build(spec, config, row.build)) {
     std::fprintf(stderr, "%s: protocol build failed\n",
@@ -330,10 +345,18 @@ int main(int argc, char** argv) {
       rows.push_back(std::move(row));
     }
   }
+  double clock = rows[0].clock;
+  for (const Row& row : rows) clock = std::min(clock, row.clock);
+  for (Row& row : rows) {
+    net_of_clock(row.serialize, clock);
+    net_of_clock(row.parse, clock);
+    net_of_clock(row.build, clock / 1000.0);
+  }
 
-  std::printf("pipeline — ns/msg per stage, best of %d windows x %zu msgs, "
-              "one SessionArena\n",
+  std::printf("pipeline — ns/msg per stage net of one clock mark, best of %d "
+              "windows x %zu msgs, one SessionArena\n",
               kTrials, messages);
+  std::printf("clock: %.1f ns per mark\n", clock);
   print_header("serialize", kSerializeStages);
   for (const Row& row : rows) print_row("serialize", row, row.serialize);
   print_header("parse", kParseStages);
@@ -360,8 +383,9 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(f, "{\n  \"bench\": \"pipeline\",\n  \"messages\": %zu,\n"
-                  "  \"trials\": %d,\n  \"unit\": \"ns/msg\",\n  \"rows\": [\n",
-               messages, kTrials);
+                  "  \"trials\": %d,\n  \"unit\": \"ns/msg\",\n"
+                  "  \"clock_ns_per_mark\": %.1f,\n  \"rows\": [\n",
+               messages, kTrials, clock);
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& row = rows[i];
     std::fprintf(f,

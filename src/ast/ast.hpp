@@ -23,10 +23,10 @@
 namespace protoobf {
 
 struct Inst;
-class InstPool;
+struct InstStore;
 
 /// Routes node destruction by provenance: pool nodes return to their
-/// freelist (ast/pool.hpp), heap nodes are deleted. The converting
+/// pool's store (ast/pool.hpp), heap nodes are deleted. The converting
 /// constructor keeps `std::make_unique<Inst>` call sites working.
 struct InstDeleter {
   InstDeleter() = default;
@@ -40,7 +40,7 @@ struct Inst {
   Bytes value;                    // Terminal payload
   std::vector<InstPtr> children;  // composite payload
   bool present = true;            // Optional presence
-  InstPool* pool = nullptr;       // provenance; fixed at creation
+  InstStore* store = nullptr;     // provenance; fixed at creation
 
   Inst() = default;
   explicit Inst(NodeId s) : schema(s) {}

@@ -1,80 +1,86 @@
 #include "ast/pool.hpp"
 
+#include <memory>
+#include <vector>
+
 namespace protoobf {
 
-namespace {
+/// An InstPool's storage. Its nodes point here, so it outlives a destroyed
+/// pool until the last of them returns.
+struct InstStore {
+  std::vector<std::unique_ptr<Inst[]>> slabs;
+  std::vector<Inst*> free;
+  InstPool::Stats stats;
+  bool orphaned = false;  // the pool is gone: the last release frees this
 
-/// Marks nodes whose pool died before them. They live in leaked slabs, so
-/// the only safe disposal is none at all (deleting a slab-interior pointer
-/// or touching the dead freelist would both be undefined behaviour).
-InstPool* detached_sentinel() {
-  static unsigned char storage;
-  return reinterpret_cast<InstPool*>(&storage);
-}
+  void grow() {
+    auto slab = std::make_unique<Inst[]>(InstPool::kSlabNodes);
+    free.reserve(free.size() + InstPool::kSlabNodes);
+    for (std::size_t i = InstPool::kSlabNodes; i-- > 0;) {
+      slab[i].store = this;
+      free.push_back(&slab[i]);
+    }
+    slabs.push_back(std::move(slab));
+    ++stats.slabs;
+  }
 
-}  // namespace
+  /// Returns a node to the freelist. Children are released first (through
+  /// their own deleters; a live parent keeps `live` above 0 meanwhile), the
+  /// value keeps its capacity for the next terminal checked out.
+  void release(Inst* node) {
+    node->children.clear();
+    node->value.clear();
+    node->present = true;
+    node->schema = kNoNode;
+    free.push_back(node);
+    --stats.live;
+    if (orphaned && stats.live == 0) delete this;  // must stay last
+  }
+};
 
 void InstDeleter::operator()(Inst* inst) const noexcept {
   if (inst == nullptr) return;
-  if (inst->pool == nullptr) {
+  if (inst->store == nullptr) {
     delete inst;
-  } else if (inst->pool != detached_sentinel()) {
-    inst->pool->release(inst);
+  } else {
+    inst->store->release(inst);
   }
 }
 
 InstPool::~InstPool() {
-  if (stats_.live == 0) return;
-  // Trees outlived their pool: detach every node so the deleter no-ops
-  // instead of touching a dead freelist, and leak the slabs the survivors
-  // live in. A leak is diagnosable; a use-after-free is not.
-  for (auto& slab : slabs_) {
-    for (std::size_t i = 0; i < kSlabNodes; ++i) {
-      slab[i].pool = detached_sentinel();
-    }
-    slab.release();
+  if (store_ == nullptr) return;
+  if (store_->stats.live == 0) {
+    delete store_;
+  } else {
+    store_->orphaned = true;
   }
-}
-
-void InstPool::grow() {
-  auto slab = std::make_unique<Inst[]>(kSlabNodes);
-  free_.reserve(free_.size() + kSlabNodes);
-  for (std::size_t i = kSlabNodes; i-- > 0;) {
-    slab[i].pool = this;
-    free_.push_back(&slab[i]);
-  }
-  slabs_.push_back(std::move(slab));
-  ++stats_.slabs;
 }
 
 InstPtr InstPool::make(NodeId schema) {
-  if (free_.empty()) {
-    grow();
-    ++stats_.misses;
+  if (store_ == nullptr) store_ = new InstStore;
+  InstStore& store = *store_;
+  if (store.free.empty()) {
+    store.grow();
+    ++store.stats.misses;
   } else {
-    ++stats_.hits;
+    ++store.stats.hits;
   }
-  Inst* node = free_.back();
-  free_.pop_back();
+  Inst* node = store.free.back();
+  store.free.pop_back();
   node->schema = schema;
-  ++stats_.live;
+  ++store.stats.live;
   return InstPtr(node);
 }
 
-void InstPool::release(Inst* node) {
-  node->children.clear();  // children return through their own deleters
-  node->value.clear();     // capacity retained for the next terminal
-  node->present = true;
-  node->schema = kNoNode;
-  free_.push_back(node);
-  --stats_.live;
+InstPool::Stats InstPool::stats() const {
+  return store_ != nullptr ? store_->stats : Stats{};
 }
 
 void InstPool::shrink() {
-  if (stats_.live != 0) return;
-  free_.clear();
-  slabs_.clear();
-  stats_.slabs = 0;
+  if (store_ == nullptr || store_->stats.live != 0) return;
+  store_->free.clear();
+  store_->slabs.clear();
+  store_->stats.slabs = 0;
 }
 
 namespace ast {

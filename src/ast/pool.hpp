@@ -11,24 +11,22 @@
 // vectors reuse their previous element storage.
 //
 // Ownership plumbing: InstPtr's deleter (ast.hpp) routes destruction by
-// the node's back-pointer — pool nodes return to their freelist, plain
+// the node's back-pointer — pool nodes return to their pool's store, plain
 // nodes are deleted. Pooled and heap nodes mix freely in one tree, so
 // every existing InstPtr call site keeps working and pooling is opt-in
 // per allocation site.
 //
-// Lifetime contract: the pool must outlive the trees drawn from it (the
-// session arena owns the pool; trees returned by Session::parse follow the
-// arena's lifetime). If a pool is destroyed while nodes are still live,
-// it detaches them and leaks its slabs instead of freeing memory under
-// the survivors' feet — a diagnosable leak, never a use-after-free.
+// Lifetime: a pool's slabs, freelist and stats live in a heap-held store,
+// allocated on the first make(), and every pool node points to it. A
+// destroyed pool frees its store at once when no node is live; otherwise
+// the store stays until the last live node returns, and that release
+// frees it. So a tree may outlive the pool it was drawn from.
 //
-// Not thread-safe: one pool per thread of control, like the arena that
-// owns it.
+// Not thread-safe: one pool per thread of control, like the workspace
+// that owns it; trees drawn from it are dropped on that thread too.
 #pragma once
 
 #include <cstddef>
-#include <memory>
-#include <vector>
 
 #include "ast/ast.hpp"
 
@@ -53,23 +51,14 @@ class InstPool {
   /// A blank node (schema set, value/children empty but capacity-bearing).
   InstPtr make(NodeId schema);
 
-  /// Returns a node to the freelist. Children are released first (through
-  /// their own deleters), the value keeps its capacity for the next
-  /// terminal checked out. Called by InstPtr's deleter; not for direct use.
-  void release(Inst* node);
-
-  const Stats& stats() const { return stats_; }
+  Stats stats() const;
 
   /// Drops all idle capacity. Only complete when no nodes are live; live
   /// nodes keep their slabs pinned until they return.
   void shrink();
 
  private:
-  void grow();
-
-  std::vector<std::unique_ptr<Inst[]>> slabs_;
-  std::vector<Inst*> free_;
-  Stats stats_;
+  InstStore* store_ = nullptr;
 };
 
 namespace ast {

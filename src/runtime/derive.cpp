@@ -52,12 +52,12 @@ Status fill_const(const Node& n, Inst& inst) {
 
 /// Starts a pass's pair list: cleared, capacity reused across messages,
 /// and no latest pair for any holder of `table`.
-void start_pairs(const HolderTable& table, DeriveScratch& scratch) {
-  scratch.pairs.clear();
+void start_pairs(const HolderTable& table, Workspace& ws) {
+  ws.pairs.clear();
   // One right-sized allocation instead of a doubling climb on the first
-  // call (arena-held scratch keeps the capacity across messages).
-  if (scratch.pairs.capacity() == 0) scratch.pairs.reserve(16);
-  scratch.latest.assign(table.holders.size(), DeriveScratch::kNoPair);
+  // call (a kept workspace keeps the capacity across messages).
+  if (ws.pairs.capacity() == 0) ws.pairs.reserve(16);
+  ws.latest.assign(table.holders.size(), Workspace::kNoPair);
 }
 
 /// Whether instances of `n` are measured into a holder: a Length or
@@ -75,8 +75,7 @@ bool is_measured(const Node& n) {
 /// enclose the holder, so each holder node's latest pair is the one to link
 /// from.
 Status add_pair(const Graph& graph, const HolderTable& table, Inst& inst,
-                const Node& n, const Ancestor* parent,
-                DeriveScratch& scratch) {
+                const Node& n, const Ancestor* parent, Workspace& ws) {
   const HolderInfo* info = table.find_by_top(n.ref);
   if (info == nullptr) {
     return Unexpected("no lineage for holder '" + graph.node(n.ref).name +
@@ -87,10 +86,10 @@ Status add_pair(const Graph& graph, const HolderTable& table, Inst& inst,
     return Unexpected("reference target '" + graph.node(n.ref).name +
                       "' not in scope of '" + n.name + "'");
   }
-  std::vector<DeriveRef>& pairs = scratch.pairs;
-  std::size_t& latest = scratch.latest[info - table.holders.data()];
+  std::vector<DeriveRef>& pairs = ws.pairs;
+  std::size_t& latest = ws.latest[info - table.holders.data()];
   const std::size_t first =
-      latest != DeriveScratch::kNoPair && pairs[latest].holder == holder
+      latest != Workspace::kNoPair && pairs[latest].holder == holder
           ? pairs[latest].first
           : pairs.size();
   latest = pairs.size();
@@ -99,26 +98,26 @@ Status add_pair(const Graph& graph, const HolderTable& table, Inst& inst,
   return Status::success();
 }
 
-/// The one derive pass: visits the scratch's pairs from last to first,
+/// The one derive pass: visits the workspace's pairs from last to first,
 /// measures each pair's region once (a Length region by emitting it into
-/// the scratch's `region` buffer) and calls `set(k, pair)` at the first
+/// the workspace's `region` buffer) and calls `set(k, pair)` at the first
 /// pair of every holder instance, once all of its pairs measured the same
 /// value.
 template <typename Set>
-Status derive_pass(const Graph& graph, DeriveScratch& scratch, Set&& set) {
-  std::vector<DeriveRef>& pairs = scratch.pairs;
+Status derive_pass(const Graph& graph, Workspace& ws, Set&& set) {
+  std::vector<DeriveRef>& pairs = ws.pairs;
   // As in start_pairs: one allocation instead of a doubling climb.
-  if (scratch.region.capacity() == 0) scratch.region.reserve(256);
+  if (ws.region.capacity() == 0) ws.region.reserve(256);
   for (std::size_t k = pairs.size(); k-- > 0;) {
     const DeriveRef& pair = pairs[k];
     std::uint64_t value = 0;
     if (pair.is_counter) {
       value = pair.measured->children.size();
     } else {
-      if (Status s = emit_into(graph, *pair.measured, scratch.region); !s) {
+      if (Status s = emit_into(graph, *pair.measured, ws.region); !s) {
         return s;
       }
-      value = scratch.region.size();
+      value = ws.region.size();
     }
     DeriveRef& first = pairs[pair.first];
     if (first.value != DeriveRef::kUnmeasured && first.value != value) {
@@ -152,12 +151,11 @@ enum class Mode : std::uint8_t {
 /// success costs each instance no Status.
 class G1Walk {
  public:
-  G1Walk(const Graph& g1, const HolderTable& table, DeriveScratch& scratch,
-         Mode mode, InstPool* pool = nullptr)
-      : g1_(g1), table_(table), scratch_(scratch), mode_(mode), pool_(pool) {
-    start_pairs(table, scratch);
-    scratch.conditions.clear();
-    if (scratch.conditions.capacity() == 0) scratch.conditions.reserve(16);
+  G1Walk(const Graph& g1, const HolderTable& table, Workspace& ws, Mode mode)
+      : g1_(g1), table_(table), ws_(ws), mode_(mode) {
+    start_pairs(table, ws);
+    ws.conditions.clear();
+    if (ws.conditions.capacity() == 0) ws.conditions.reserve(16);
   }
 
   /// kCopy: `inst` (drawn for `source`) receives `source` and its subtree.
@@ -170,7 +168,7 @@ class G1Walk {
     const Ancestor here(&inst, parent);
     inst.children.reserve(source.children.size());
     for (const InstPtr& child : source.children) {
-      inst.children.push_back(ast::make(pool_, child->schema));
+      inst.children.push_back(ws_.nodes.make(child->schema));
       if (!copy(*child, *inst.children.back(), &here)) return false;
     }
     return true;
@@ -187,16 +185,16 @@ class G1Walk {
   /// The derive pass over the collected pairs, then the walk's deferred
   /// verdicts: kParsed's shape error, the recorded Optionals' presence.
   Status finish() {
-    Bytes& encoded = scratch_.encoded;
+    Bytes& encoded = ws_.encoded;
     const auto set = [&](std::size_t, DeriveRef& pair) {
       Status s =
           encode_holder_into(encoded, g1_, pair.holder->schema, pair.value);
       if (s) pair.holder->value = encoded;
       return s;
     };
-    if (Status s = derive_pass(g1_, scratch_, set); !s) return s;
+    if (Status s = derive_pass(g1_, ws_, set); !s) return s;
     if (!shape_) return shape_;
-    for (const ConditionRef& c : scratch_.conditions) {
+    for (const ConditionRef& c : ws_.conditions) {
       const Node& n = g1_.node(c.optional->schema);
       if (c.target == nullptr) {
         return Unexpected("condition target of '" + n.name +
@@ -258,11 +256,10 @@ class G1Walk {
       }
     }
     if (table_.find_by_top(inst.schema) != nullptr) {
-      if (Status s = encode_holder_into(scratch_.encoded, g1_, inst.schema, 0);
-          !s) {
+      if (Status s = encode_holder_into(ws_.encoded, g1_, inst.schema, 0); !s) {
         return fail(s);
       }
-      inst.value = scratch_.encoded;
+      inst.value = ws_.encoded;
     }
     if (mode_ == Mode::kParsed && shape_) {
       // Reported after the derive pass, whose errors come first, as they
@@ -270,14 +267,14 @@ class G1Walk {
       if (Status s = ast::check_shape(g1_, inst); !s) shape_ = malformed(s);
     }
     if (is_measured(n)) {
-      if (Status s = add_pair(g1_, table_, inst, n, parent, scratch_); !s) {
+      if (Status s = add_pair(g1_, table_, inst, n, parent, ws_); !s) {
         return fail(s);
       }
     }
     if (mode_ != Mode::kParsed && n.type == NodeType::Optional &&
         n.condition.kind != Condition::Kind::Always) {
       const HolderInfo* info = table_.find_reference(n.condition.ref);
-      scratch_.conditions.push_back(
+      ws_.conditions.push_back(
           {&inst, info != nullptr ? resolve(info->route, parent) : nullptr});
     }
     return true;
@@ -285,79 +282,64 @@ class G1Walk {
 
   const Graph& g1_;
   const HolderTable& table_;
-  DeriveScratch& scratch_;
+  Workspace& ws_;
   const Mode mode_;
-  InstPool* const pool_;  // kCopy's node source
-  Status shape_;          // kParsed: the first shape mismatch
-  Status error_;          // what stopped the walk
+  Status shape_;  // kParsed: the first shape mismatch
+  Status error_;  // what stopped the walk
 };
 
 }  // namespace
 
 Status canonical_copy(const Graph& g1, const HolderTable& table,
-                      const Inst& message, InstPtr& out, InstPool* pool,
-                      DeriveScratch& scratch) {
+                      const Inst& message, InstPtr& out, Workspace& ws) {
   if (message.schema != g1.root()) {
     return Unexpected("instance root does not match graph root");
   }
-  G1Walk walk(g1, table, scratch, Mode::kCopy, pool);
-  out = ast::make(pool, message.schema);
+  G1Walk walk(g1, table, ws, Mode::kCopy);
+  out = ws.nodes.make(message.schema);
   if (!walk.copy(message, *out, nullptr)) return walk.error();
   return walk.finish();
 }
 
 Status canonicalize_parsed(const Graph& g1, const HolderTable& table,
-                           Inst& root, DeriveScratch& scratch) {
-  G1Walk walk(g1, table, scratch, Mode::kParsed);
+                           Inst& root, Workspace& ws) {
+  G1Walk walk(g1, table, ws, Mode::kParsed);
   if (!walk.in_place(root)) return walk.error();
   return walk.finish();
 }
 
-Status canonicalize(const Graph& g1, Inst& root, const HolderTable* holders,
-                    DeriveScratch* scratch) {
-  Expected<HolderTable> local_holders = HolderTable{};
-  if (holders == nullptr) {
-    local_holders = build_holder_table(g1, g1, {});
-    if (!local_holders) return Unexpected(local_holders.error());
-    holders = &*local_holders;
-  }
-  DeriveScratch local_scratch;
-  if (scratch == nullptr) scratch = &local_scratch;
-  G1Walk walk(g1, *holders, *scratch, Mode::kInPlace);
+Status canonicalize(const Graph& g1, const HolderTable& table, Inst& root,
+                    Workspace& ws) {
+  G1Walk walk(g1, table, ws, Mode::kInPlace);
   if (!walk.in_place(root)) return walk.error();
   return walk.finish();
 }
 
 Status fix_holders(const Graph& wire, const Journal& journal,
                    const HolderTable& table, Inst& root,
-                   std::uint64_t msg_seed, InstPool* pool,
-                   DeriveScratch* scratch) {
-  DeriveScratch local_scratch;
-  if (scratch == nullptr) scratch = &local_scratch;
-  Bytes& encoded = scratch->encoded;
-  start_pairs(table, *scratch);
+                   std::uint64_t msg_seed, Workspace& ws) {
+  Bytes& encoded = ws.encoded;
+  start_pairs(table, ws);
   const auto pre = [&](Inst& inst, const Ancestor* parent) -> Status {
     const Node& n = wire.node(inst.schema);
     if (!is_measured(n)) return Status::success();
-    return add_pair(wire, table, inst, n, parent, *scratch);
+    return add_pair(wire, table, inst, n, parent, ws);
   };
   if (Status s = walk_with_ancestors(root, nullptr, pre); !s) return s;
-  return derive_pass(wire, *scratch, [&](std::size_t k,
-                                         DeriveRef& pair) -> Status {
+  return derive_pass(wire, ws, [&](std::size_t k, DeriveRef& pair) -> Status {
     const HolderInfo& info = *pair.info;
     if (Status s = encode_holder_into(encoded, wire, info.origin, pair.value);
         !s) {
       return s;
     }
-    auto carried = read_value(info.plan, *pair.holder, journal,
-                              scratch->registers);
+    auto carried = read_value(info.plan, *pair.holder, journal, ws.registers);
     if (carried && std::equal(carried->begin(), carried->end(),
                               encoded.begin(), encoded.end())) {
       return Status::success();
     }
     Rng rng(msg_seed ^ (0x9e3779b97f4a7c15ull * (k + 1)));
-    auto rebuilt =
-        rerun_chain(info.origin, encoded, journal, info.chain, rng, pool);
+    auto rebuilt = rerun_chain(info.origin, encoded, journal, info.chain, rng,
+                               &ws.nodes);
     if (!rebuilt) return Unexpected(rebuilt.error());
     *pair.holder = std::move(**rebuilt);
     return Status::success();

@@ -45,60 +45,22 @@
 #pragma once
 
 #include "ast/ast.hpp"
-#include "ast/pool.hpp"
 #include "graph/graph.hpp"
-#include "transform/exec.hpp"
+#include "runtime/workspace.hpp"
+#include "transform/journal.hpp"
 #include "transform/lineage.hpp"
-#include "util/bytes.hpp"
 #include "util/result.hpp"
 
 namespace protoobf {
 
-/// One (holder, measured) pair of a derive pass: the instance carrying a
-/// derived value and the instance whose emitted size (Length) or element
-/// count (Counter) defines it.
-struct DeriveRef {
-  static constexpr std::uint64_t kUnmeasured = ~std::uint64_t{0};
-
-  Inst* holder;
-  Inst* measured;
-  const HolderInfo* info;
-  std::size_t first;    // index of the first pair with this holder instance
-  std::uint64_t value;  // first pair: the value its visited pairs measured
-  bool is_counter;
-};
-
-/// A condition-bearing Optional the G1 walk reached, and the instance of
-/// its condition target (null when the target did not resolve).
-struct ConditionRef {
-  const Inst* optional;
-  const Inst* target;
-};
-
-/// Reusable scratch for the derive passes: an arena-held bundle re-derives
-/// without touching the heap. Not thread-safe, like the arena.
-struct DeriveScratch {
-  static constexpr std::size_t kNoPair = ~std::size_t{0};
-
-  std::vector<DeriveRef> pairs;     // the pass's work list
-  std::vector<std::size_t> latest;  // per holder of the table: its latest
-                                    // pair so far (kNoPair: none)
-  std::vector<ConditionRef> conditions;  // the G1 walk's Optionals
-  Bytes encoded;                    // holder-encoding buffer
-  Bytes region;                     // a measured region, emitted to be sized
-  Bytes registers;                  // fix_holders()' read-plan registers
-  EntryStreams streams;             // serialize's per-entry random streams
-};
-
-/// Serialize's G1 walk: copies `message` into nodes drawn from `pool`
-/// (heap when null) into `out`, checking it against G1 as it goes, and
+/// Serialize's G1 walk: copies `message` into nodes drawn from the
+/// workspace's pool into `out`, checking it against G1 as it goes, and
 /// canonicalizes and presence-checks the copy. `table` must equal
 /// build_holder_table(g1, g1, {}). Fails with ast::check's, canonicalize()'s
 /// or the presence check's own error string, whichever the walk meets
 /// first.
 Status canonical_copy(const Graph& g1, const HolderTable& table,
-                      const Inst& message, InstPtr& out, InstPool* pool,
-                      DeriveScratch& scratch);
+                      const Inst& message, InstPtr& out, Workspace& ws);
 
 /// Parse's G1 walk over the tree inverse_program recovered, in place:
 /// fills the constants (a contradicted one fails "parsed message rejected:
@@ -107,29 +69,24 @@ Status canonical_copy(const Graph& g1, const HolderTable& table,
 /// a check run after it would). Derivation errors are not prefixed. No
 /// presence check: the parser evaluated every condition itself.
 Status canonicalize_parsed(const Graph& g1, const HolderTable& table,
-                           Inst& root, DeriveScratch& scratch);
+                           Inst& root, Workspace& ws);
 
 /// The G1 walk in place over a user-built tree: constants, length/count
 /// holders per G1 semantics, then every Optional's presence against its
-/// condition. A Length region is measured by emitting it into the scratch's
-/// `region` buffer, so it fails with the same error emit() would.
-/// `holders`, when given, must equal build_holder_table(g1, g1, {}) (it is
-/// rebuilt when null); `scratch` is a reusable bundle for the walk's work
-/// vectors and buffers (a local one is used when null).
-Status canonicalize(const Graph& g1, Inst& root,
-                    const HolderTable* holders = nullptr,
-                    DeriveScratch* scratch = nullptr);
+/// condition. A Length region is measured by emitting it into the
+/// workspace's `region` buffer, so it fails with the same error emit()
+/// would. `table` must equal build_holder_table(g1, g1, {}).
+Status canonicalize(const Graph& g1, const HolderTable& table, Inst& root,
+                    Workspace& ws);
 
 /// Wire derivation on the transformed tree: recomputes every holder from
 /// the final wire sizes/counts and replays its transformation lineage. A
 /// holder whose read plan already yields the fresh value is left alone, so
-/// an already-derived tree draws no node from `pool`. `msg_seed` keeps the
-/// replayed randomness deterministic per message; `pool`, when given,
-/// backs the rebuilt holder subtrees so steady-state sessions rebuild
-/// without heap traffic.
+/// an already-derived tree draws no node from the workspace's pool, which
+/// backs the rebuilt holder subtrees. `msg_seed` keeps the replayed
+/// randomness deterministic per message.
 Status fix_holders(const Graph& wire, const Journal& journal,
                    const HolderTable& table, Inst& root,
-                   std::uint64_t msg_seed, InstPool* pool = nullptr,
-                   DeriveScratch* scratch = nullptr);
+                   std::uint64_t msg_seed, Workspace& ws);
 
 }  // namespace protoobf

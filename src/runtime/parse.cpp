@@ -26,13 +26,12 @@ struct Reader {
 class WireParser {
  public:
   WireParser(const Graph& wire, const Journal& journal,
-             const HolderTable& table, BufferPool* scratch, InstPool* nodes,
-             bool prefix = false, ParseResume* resume = nullptr)
+             const HolderTable& table, Workspace& ws, bool prefix = false,
+             ParseResume* resume = nullptr)
       : wire_(wire),
         journal_(journal),
         table_(table),
-        scratch_(scratch),
-        nodes_(nodes),
+        ws_(ws),
         prefix_(prefix),
         resume_(resume) {}
 
@@ -88,8 +87,8 @@ class WireParser {
 
   /// Resolves `ref` from the dependant's parent `up` along its route, runs
   /// its read plan over the parsed subtree, and hands the logical bytes to
-  /// `use`. A direct plan reads the leaf in place; any other borrows its
-  /// registers from the scratch pool.
+  /// `use`. A direct plan reads the leaf in place; any other runs in the
+  /// workspace's registers, which `use` is done with before the next read.
   template <typename T, typename Use>
   Expected<T> read_reference(NodeId ref, const Ancestor* up, const Reader& r,
                              Use&& use) const {
@@ -103,17 +102,12 @@ class WireParser {
       return fail(r, "reference target '" + wire_.node(ref).name +
                          "' not yet parsed");
     }
-    const bool borrow = scratch_ != nullptr && !info->plan.direct();
-    Bytes registers = borrow ? scratch_->acquire() : Bytes();
-    auto bytes = read_value(info->plan, *target, journal_, registers);
-    Expected<T> out =
-        bytes ? use(*bytes, *info)
-              : Expected<T>(fail(r, "reference target '" +
-                                        wire_.node(ref).name +
-                                        "' does not invert: " +
-                                        bytes.error().message));
-    if (borrow) scratch_->release(std::move(registers));
-    return out;
+    auto bytes = read_value(info->plan, *target, journal_, ws_.registers);
+    if (!bytes) {
+      return fail(r, "reference target '" + wire_.node(ref).name +
+                         "' does not invert: " + bytes.error().message);
+    }
+    return use(*bytes, *info);
   }
 
   /// Logical scalar of a holder (length or count), decoded with the origin
@@ -304,20 +298,20 @@ class WireParser {
     }
 
     // Mirrored subtree: reverse the region, parse it as a fresh buffer. The
-    // reversed copy comes from the scratch pool when one is attached, so
-    // steady-state sessions reuse its capacity instead of reallocating.
+    // reversed copy comes from the workspace's buffers, so a kept workspace
+    // reuses its capacity instead of reallocating; mirrored regions nest.
     if (n.mirrored && !ignore_mirror) {
       if (!region_end) {
         return fail(r, "mirrored node '" + n.name + "' without a region");
       }
-      Bytes temp = scratch_ != nullptr ? scratch_->acquire() : Bytes();
+      Bytes temp = ws_.buffers.acquire();
       assign_reversed(temp, r.data.subspan(r.pos, *region_end - r.pos));
       // The reversed copy is a complete region: its end is hard.
       Reader mirror_reader{temp, 0, temp.size(), /*soft=*/false};
       auto inst = parse_node_impl(id, mirror_reader, /*ignore_mirror=*/true,
                                   nullptr, up);
       const bool consumed = mirror_reader.pos == mirror_reader.end;
-      if (scratch_ != nullptr) scratch_->release(std::move(temp));
+      ws_.buffers.release(std::move(temp));
       if (!inst) return inst;
       if (!consumed) {
         return fail(r, "mirrored region of '" + n.name +
@@ -346,13 +340,13 @@ class WireParser {
     if (restored) inst = std::move(frame->partial);
     switch (n.type) {
       case NodeType::Terminal: {
-        inst = ast::terminal(nodes_, id,
+        inst = ast::terminal(&ws_.nodes, id,
                              r.data.subspan(r.pos, *region_end - r.pos));
         r.pos = *region_end;
         break;
       }
       case NodeType::Sequence: {
-        if (!restored) inst = ast::make(nodes_, id);
+        if (!restored) inst = ws_.nodes.make(id);
         const Ancestor here(inst.get(), up);
         if (region_end) {
           Reader sub{r.data, r.pos, *region_end, sub_soft};
@@ -393,19 +387,19 @@ class WireParser {
           present = *holds;
         }
         if (present) {
-          if (!restored) inst = ast::make(nodes_, id);
+          if (!restored) inst = ws_.nodes.make(id);
           if (frame != nullptr) frame->pos = r.pos;
           const Ancestor here(inst.get(), up);
           auto child = parse_node(n.children[0], r, &here);
           if (!child) return stash(std::move(inst), frame, child);
           inst->children.push_back(std::move(*child));
         } else {
-          inst = ast::absent(nodes_, id);
+          inst = ast::absent(&ws_.nodes, id);
         }
         break;
       }
       case NodeType::Repetition: {
-        if (!restored) inst = ast::make(nodes_, id);
+        if (!restored) inst = ws_.nodes.make(id);
         const Ancestor here(inst.get(), up);
         if (stop_marker_rep) {
           while (true) {
@@ -469,7 +463,7 @@ class WireParser {
             frame->counted = true;
           }
         }
-        if (!restored) inst = ast::make(nodes_, id);
+        if (!restored) inst = ws_.nodes.make(id);
         const Ancestor here(inst.get(), up);
         for (std::uint64_t k = restored ? inst->children.size() : 0;
              k < count; ++k) {
@@ -511,8 +505,7 @@ class WireParser {
   const Graph& wire_;
   const Journal& journal_;
   const HolderTable& table_;
-  BufferPool* scratch_;
-  InstPool* nodes_;
+  Workspace& ws_;
   bool prefix_ = false;
   ParseResume* resume_ = nullptr;  // suspend/resume and stats; prefix only
   bool resuming_ = false;          // descending into a saved spine
@@ -523,17 +516,16 @@ class WireParser {
 
 Expected<InstPtr> parse_wire(const Graph& wire, const Journal& journal,
                              const HolderTable& table, BytesView data,
-                             BufferPool* scratch, InstPool* nodes) {
-  return WireParser(wire, journal, table, scratch, nodes).parse(data);
+                             Workspace& ws) {
+  return WireParser(wire, journal, table, ws).parse(data);
 }
 
 Expected<InstPtr> parse_wire_prefix(const Graph& wire, const Journal& journal,
                                     const HolderTable& table, BytesView data,
-                                    std::size_t* consumed, BufferPool* scratch,
-                                    InstPool* nodes, ParseResume* resume) {
-  return WireParser(wire, journal, table, scratch, nodes, /*prefix=*/true,
-                    resume)
-      .parse(data, consumed);
+                                    std::size_t& consumed, Workspace& ws,
+                                    ParseResume* resume) {
+  return WireParser(wire, journal, table, ws, /*prefix=*/true, resume)
+      .parse(data, &consumed);
 }
 
 namespace {

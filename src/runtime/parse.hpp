@@ -14,9 +14,9 @@
 #pragma once
 
 #include "ast/ast.hpp"
-#include "ast/pool.hpp"
 #include "graph/graph.hpp"
 #include "runtime/resume.hpp"
+#include "runtime/workspace.hpp"
 #include "transform/lineage.hpp"
 #include "util/bytes.hpp"
 #include "util/result.hpp"
@@ -27,20 +27,18 @@ namespace protoobf {
 /// failure was detected. The returned tree instantiates the *final* graph;
 /// run transform/exec.hpp's inverse_program to recover the G1 tree.
 ///
-/// `scratch`, when given, supplies reusable buffers for the reversed copies
-/// of mirrored regions so steady-state parsing stops allocating them.
-/// `nodes`, when given, backs every tree node — and every terminal payload,
-/// via recycled Bytes capacity — so a session parses with no heap
-/// allocation in steady state; it must then outlive the returned tree. Both
-/// must outlive the call and may be reused across messages.
+/// Every tree node comes from the workspace's pool — and every terminal
+/// payload lands in recycled Bytes capacity — so a kept workspace parses
+/// with no heap allocation in steady state. Non-direct reference reads run
+/// in its `registers`, mirrored regions' reversed copies come from its
+/// `buffers`.
 Expected<InstPtr> parse_wire(const Graph& wire, const Journal& journal,
                              const HolderTable& table, BytesView data,
-                             BufferPool* scratch = nullptr,
-                             InstPool* nodes = nullptr);
+                             Workspace& ws);
 
 /// Streaming variant: parses exactly one message from the *front* of
 /// `data`, tolerating trailing bytes (the next message's prefix in a byte
-/// stream). On success `*consumed` receives the message's wire size. When
+/// stream). On success `consumed` receives the message's wire size. When
 /// the buffer ends before the message does, the error carries
 /// ErrorKind::Truncated plus a minimum-additional-bytes hint instead of a
 /// plain failure — the signal framers turn into "need more bytes".
@@ -54,18 +52,15 @@ Expected<InstPtr> parse_wire(const Graph& wire, const Journal& journal,
 /// partial trees. This is what
 /// keeps delimiter-bounded wire formats at amortized O(1) parse work per
 /// delivered byte under trickled delivery. The caller owns invalidation:
-/// see ParseResume's header for the validity contract. `resume` also
-/// implies `nodes`-style lifetime coupling: suspended partial trees draw
-/// from `nodes`, so the pool must outlive the resume state.
+/// see ParseResume's header for the validity contract. A streaming caller
+/// keeps its workspace across calls, as it keeps `resume`.
 ///
 /// Requires a stream-safe wire graph (see stream_safe()): a boundary that
 /// extends "to the end of the input" cannot delimit itself in a stream, and
 /// is reported as malformed here.
 Expected<InstPtr> parse_wire_prefix(const Graph& wire, const Journal& journal,
                                     const HolderTable& table, BytesView data,
-                                    std::size_t* consumed,
-                                    BufferPool* scratch = nullptr,
-                                    InstPool* nodes = nullptr,
+                                    std::size_t& consumed, Workspace& ws,
                                     ParseResume* resume = nullptr);
 
 /// Checks that the wire graph delimits its own messages, i.e. that no node

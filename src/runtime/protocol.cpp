@@ -92,8 +92,9 @@ Expected<ObfuscatedProtocol> ObfuscatedProtocol::from_parts(Graph original,
 Expected<Bytes> ObfuscatedProtocol::serialize(
     const Inst& message, std::uint64_t msg_seed,
     std::vector<FieldSpan>* spans) const {
+  Workspace ws;
   Bytes out;
-  if (Status s = serialize_into(message, msg_seed, out, spans); !s) {
+  if (Status s = serialize_into(message, msg_seed, out, ws, spans); !s) {
     return Unexpected(s.error());
   }
   return out;
@@ -101,29 +102,24 @@ Expected<Bytes> ObfuscatedProtocol::serialize(
 
 Status ObfuscatedProtocol::serialize_into(const Inst& message,
                                           std::uint64_t msg_seed, Bytes& out,
-                                          std::vector<FieldSpan>* spans,
-                                          InstPool* nodes,
-                                          DeriveScratch* derive) const {
-  DeriveScratch local_scratch;
-  if (derive == nullptr) derive = &local_scratch;
-  // The caller's tree is read-only; the passes mutate a workspace copy
-  // drawn from the node pool, which the G1 walk builds as it checks and
+                                          Workspace& ws,
+                                          std::vector<FieldSpan>* spans) const {
+  // The caller's tree is read-only; the passes mutate a working copy drawn
+  // from the workspace's pool, which the G1 walk builds as it checks and
   // canonicalizes the message.
   InstPtr tree;
-  if (Status s = canonical_copy(original_, canon_holders_, message, tree,
-                                nodes, *derive);
+  if (Status s = canonical_copy(original_, canon_holders_, message, tree, ws);
       !s) {
     return s;
   }
   if (!identity_) {
-    derive->streams.reset(msg_seed, journal_.size());
-    if (Status s = forward_program(tree, program_, journal_, derive->streams,
-                                   nodes);
+    ws.streams.reset(msg_seed, journal_.size());
+    if (Status s = forward_program(tree, program_, journal_, ws.streams,
+                                   &ws.nodes);
         !s) {
       return s;
     }
-    if (Status s = fix_holders(wire_, journal_, holders_, *tree, msg_seed,
-                               nodes, derive);
+    if (Status s = fix_holders(wire_, journal_, holders_, *tree, msg_seed, ws);
         !s) {
       return s;
     }
@@ -131,38 +127,34 @@ Status ObfuscatedProtocol::serialize_into(const Inst& message,
   return emit_into(wire_, *tree, out, spans);
 }
 
+Expected<InstPtr> ObfuscatedProtocol::parse(BytesView wire) const {
+  Workspace ws;
+  return parse(wire, ws);
+}
+
 Expected<InstPtr> ObfuscatedProtocol::parse(BytesView wire,
-                                            BufferPool* scratch,
-                                            InstPool* nodes,
-                                            DeriveScratch* derive) const {
-  auto tree = parse_wire(wire_, journal_, holders_, wire, scratch, nodes);
-  return finish_parse(std::move(tree), nodes, derive);
+                                            Workspace& ws) const {
+  return finish_parse(parse_wire(wire_, journal_, holders_, wire, ws), ws);
 }
 
 Expected<InstPtr> ObfuscatedProtocol::parse_prefix(BytesView buffer,
-                                                   std::size_t* consumed,
-                                                   BufferPool* scratch,
-                                                   InstPool* nodes,
-                                                   DeriveScratch* derive,
+                                                   std::size_t& consumed,
+                                                   Workspace& ws,
                                                    ParseResume* resume) const {
-  auto tree = parse_wire_prefix(wire_, journal_, holders_, buffer, consumed,
-                                scratch, nodes, resume);
-  return finish_parse(std::move(tree), nodes, derive);
+  return finish_parse(parse_wire_prefix(wire_, journal_, holders_, buffer,
+                                        consumed, ws, resume),
+                      ws);
 }
 
 /// Shared tail of parse()/parse_prefix(): inverse transformations, then
 /// the G1 walk, which canonicalizes the result and checks its integrity.
 Expected<InstPtr> ObfuscatedProtocol::finish_parse(Expected<InstPtr> tree,
-                                                   InstPool* nodes,
-                                                   DeriveScratch* derive) const {
+                                                   Workspace& ws) const {
   if (!tree) return tree;
-  if (Status s = inverse_program(*tree, program_, journal_, nodes); !s) {
+  if (Status s = inverse_program(*tree, program_, journal_, &ws.nodes); !s) {
     return Unexpected(s.error());
   }
-  DeriveScratch local_scratch;
-  if (derive == nullptr) derive = &local_scratch;
-  if (Status s = canonicalize_parsed(original_, canon_holders_, **tree,
-                                     *derive);
+  if (Status s = canonicalize_parsed(original_, canon_holders_, **tree, ws);
       !s) {
     return Unexpected(s.error());
   }
@@ -170,7 +162,8 @@ Expected<InstPtr> ObfuscatedProtocol::finish_parse(Expected<InstPtr> tree,
 }
 
 Status ObfuscatedProtocol::canonicalize(Inst& message) const {
-  return protoobf::canonicalize(original_, message, &canon_holders_);
+  Workspace ws;
+  return protoobf::canonicalize(original_, canon_holders_, message, ws);
 }
 
 }  // namespace protoobf

@@ -29,6 +29,7 @@
 #include "runtime/derive.hpp"
 #include "runtime/emit.hpp"
 #include "runtime/resume.hpp"
+#include "runtime/workspace.hpp"
 #include "transform/engine.hpp"
 #include "transform/lineage.hpp"
 #include "util/result.hpp"
@@ -68,35 +69,33 @@ class ObfuscatedProtocol {
   /// Serializes a logical message (an instance of G1). `msg_seed` drives the
   /// per-message randomness (split halves, pad bytes): the same message with
   /// a different seed produces a different wire image. Optional `spans`
-  /// receive the ground-truth wire location of every terminal.
+  /// receive the ground-truth wire location of every terminal. Works in a
+  /// local Workspace.
   Expected<Bytes> serialize(const Inst& message, std::uint64_t msg_seed,
                             std::vector<FieldSpan>* spans = nullptr) const;
 
   /// Allocation-lean variant: serializes into `out`, replacing its contents
   /// but reusing its capacity. The user's tree is never cloned on the heap:
-  /// the G1 walk copies it into a workspace whose nodes come from `nodes`
-  /// (when given) — the session arena's pool — and the forward-transform
-  /// and holder passes mutate that copy, so a steady-state session
-  /// serializes without heap traffic. `derive`, when given, backs the walk's
-  /// and the derive passes' work vectors the same way, including the buffer
-  /// they emit each measured region into.
+  /// the G1 walk copies it into nodes of the workspace's pool, and the
+  /// forward-transform and holder passes mutate that copy, so a kept
+  /// workspace (a session arena's) serializes without heap traffic. The
+  /// walk's and the derive passes' work vectors, including the buffer they
+  /// emit each measured region into, are the workspace's too.
   Status serialize_into(const Inst& message, std::uint64_t msg_seed,
-                        Bytes& out, std::vector<FieldSpan>* spans = nullptr,
-                        InstPool* nodes = nullptr,
-                        DeriveScratch* derive = nullptr) const;
+                        Bytes& out, Workspace& ws,
+                        std::vector<FieldSpan>* spans = nullptr) const;
 
-  /// Parses a wire message back into a canonical logical tree. `scratch`,
-  /// when given, provides reusable buffers for mirrored-region copies;
-  /// `nodes` a tree-node pool backing every instance of the result (which
-  /// then must not outlive the pool); `derive` reusable derive-pass
-  /// scratch. Reference reads borrow their registers from `scratch`.
-  Expected<InstPtr> parse(BytesView wire, BufferPool* scratch = nullptr,
-                          InstPool* nodes = nullptr,
-                          DeriveScratch* derive = nullptr) const;
+  /// Parses a wire message back into a canonical logical tree, working in
+  /// a local Workspace. The tree stays valid after it (ast/pool.hpp).
+  Expected<InstPtr> parse(BytesView wire) const;
+
+  /// parse() in `ws`: every instance of the result comes from its node
+  /// pool, and the parse and derive passes run in its buffers.
+  Expected<InstPtr> parse(BytesView wire, Workspace& ws) const;
 
   /// Streaming variant of parse(): reads exactly one message from the front
   /// of `buffer`, tolerating trailing bytes (the next message), and reports
-  /// the message's wire size in `*consumed`. A buffer that ends before the
+  /// the message's wire size in `consumed`. A buffer that ends before the
   /// message does fails with ErrorKind::Truncated and a minimum
   /// additional-byte hint — the signal framers translate into "need more
   /// bytes" instead of a parse failure. Requires stream_safe(wire_graph()).
@@ -104,12 +103,10 @@ class ObfuscatedProtocol {
   /// `resume`, when given, suspends a Truncated parse so the next call on
   /// the same buffer front (same bytes, more appended) continues from the
   /// truncation point instead of byte 0 — see parse_wire_prefix and
-  /// ParseResume for the validity contract. Suspended partial trees draw
-  /// from `nodes`, which must outlive `resume`.
-  Expected<InstPtr> parse_prefix(BytesView buffer, std::size_t* consumed,
-                                 BufferPool* scratch = nullptr,
-                                 InstPool* nodes = nullptr,
-                                 DeriveScratch* derive = nullptr,
+  /// ParseResume for the validity contract. A streaming caller keeps `ws`
+  /// across calls, as it keeps `resume`.
+  Expected<InstPtr> parse_prefix(BytesView buffer, std::size_t& consumed,
+                                 Workspace& ws,
                                  ParseResume* resume = nullptr) const;
 
   /// Fills constants and derived fields of a user-built logical tree so it
@@ -128,8 +125,8 @@ class ObfuscatedProtocol {
   static Expected<ObfuscatedProtocol> assemble(Graph original,
                                                ObfuscationResult result);
 
-  Expected<InstPtr> finish_parse(Expected<InstPtr> tree, InstPool* nodes,
-                                 DeriveScratch* derive) const;
+  Expected<InstPtr> finish_parse(Expected<InstPtr> tree,
+                                 Workspace& ws) const;
 
   Graph original_;
   Graph wire_;

@@ -33,9 +33,9 @@
 // state automatically. As a last-resort guard the parser invalidates a
 // checkpoint on its own when the buffer shrank below the suspended size.
 //
-// The partial trees draw from the same InstPool as the eventual result, so
-// a ParseResume must not outlive the pool it suspends trees of (the
-// ObfuscatedFramer owns both, pool first).
+// The partial trees draw from the same workspace pool as the eventual
+// result, and may outlive it (ast/pool.hpp). One thread of control, like
+// that workspace.
 #pragma once
 
 #include <cstddef>

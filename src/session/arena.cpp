@@ -5,9 +5,7 @@ namespace protoobf {
 void SessionArena::shrink() {
   wire_ = Bytes();
   frame_ = Bytes();
-  scratch_.shrink();
-  derive_ = DeriveScratch();
-  nodes_.shrink();
+  workspace_.shrink();
 }
 
 }  // namespace protoobf

@@ -6,18 +6,18 @@
 // reversed copy, and every message materializes a fresh Inst tree node by
 // node; at traffic scale those per-message heap round-trips dominate the
 // runtime cost of small messages. The arena keeps one wire buffer, one
-// frame buffer, one scratch pool, one derive-pass bundle and one AST node
-// pool per session so the steady state reuses capacity established by the
-// first few messages — including whole parse trees and serialize workspaces,
-// which recycle through the node pool. Each buffer's own capacity is its
-// high-water mark: emission clears a buffer without releasing it.
+// frame buffer and one Workspace (runtime/workspace.hpp: the derive-pass
+// buffers and the AST node pool) per session so the steady state reuses
+// capacity established by the first few messages — including whole parse
+// trees and serialize working copies, which recycle through the node pool.
+// Each buffer's own capacity is its high-water mark: emission clears a
+// buffer without releasing it.
 //
 // Not thread-safe: one arena per session, one session per thread of
 // control.
 #pragma once
 
-#include "ast/pool.hpp"
-#include "runtime/derive.hpp"
+#include "runtime/workspace.hpp"
 #include "util/bytes.hpp"
 
 namespace protoobf {
@@ -35,18 +35,9 @@ class SessionArena {
   Bytes& frame() { return frame_; }
   const Bytes& frame() const { return frame_; }
 
-  /// Scratch buffers for parse() mirrored-region copies.
-  BufferPool& scratch() { return scratch_; }
-
-  /// Reusable derive-pass scratch (the pairs, encoding and read-plan
-  /// register buffers of canonicalize()/fix_holders()), the last
-  /// per-message allocations of the hot path before it was arena-held.
-  DeriveScratch& derive() { return derive_; }
-
-  /// AST node pool backing parse trees and serialize workspaces. Trees
-  /// drawn from it must not outlive the arena.
-  InstPool& nodes() { return nodes_; }
-  const InstPool& nodes() const { return nodes_; }
+  /// The workspace every serialize_into() and parse() of the session runs
+  /// in: its node pool backs parse trees and serialize working copies.
+  Workspace& workspace() { return workspace_; }
 
   /// Bytes of capacity currently retained by the wire and frame buffers.
   std::size_t retained() const { return wire_.capacity() + frame_.capacity(); }
@@ -58,9 +49,7 @@ class SessionArena {
  private:
   Bytes wire_;
   Bytes frame_;
-  BufferPool scratch_;
-  DeriveScratch derive_;
-  InstPool nodes_;
+  Workspace workspace_;
 };
 
 }  // namespace protoobf

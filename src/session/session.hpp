@@ -36,16 +36,15 @@ class Session {
   Expected<BytesView> serialize(const Inst& message, std::uint64_t msg_seed,
                                 std::vector<FieldSpan>* spans = nullptr);
 
-  /// Parses with the arena backing the whole operation: scratch buffers
-  /// for mirrored regions and read-plan registers, derive-pass scratch,
-  /// and the node pool every instance of the result comes from. Steady
-  /// state performs O(1) small allocations per message (under one for HTTP
-  /// at per_node 2 and 4, pinned in alloc_test), never O(nodes).
-  /// Because dropping the returned tree recycles its nodes
-  /// into the arena's pool, the tree must not outlive the session and
-  /// must be destroyed on the session's thread of control — handing a
-  /// tree to another thread requires dropping it back here (or copying
-  /// it).
+  /// Parses in the arena's workspace: its buffers for mirrored regions,
+  /// read-plan registers and the derive pass, and the node pool every
+  /// instance of the result comes from. Steady state performs O(1) small
+  /// allocations per message (under one for HTTP at per_node 2 and 4,
+  /// pinned in alloc_test), never O(nodes). Dropping the returned tree
+  /// recycles its nodes into that pool, so it must be dropped on the
+  /// session's thread of control — handing a tree to another thread
+  /// requires dropping it back here (or copying it). It may outlive the
+  /// session.
   Expected<InstPtr> parse(BytesView wire);
 
   /// The session arena. Channel routes its frame buffer through it so

@@ -195,8 +195,7 @@ ObfuscatedFramer::ObfuscatedFramer(
 Status ObfuscatedFramer::encode(BytesView payload, Bytes& out) {
   payload_slot_->value.assign(payload.begin(), payload.end());
   if (Status s = framing_->serialize_into(*skeleton_, rng_.next_u64(), out,
-                                          /*spans=*/nullptr, &nodes_,
-                                          &derive_);
+                                          workspace_);
       !s) {
     return s;
   }
@@ -216,12 +215,11 @@ FrameDecode ObfuscatedFramer::decode(BytesView buffer) {
   ResumeStatsMirror mirror(resume_);
   // The prefix parse runs resumably: a Truncated attempt suspends into
   // resume_ (partial pooled tree, delimiter-scan cursors) and the next
-  // decode() on the grown front continues from the truncation point.
-  // parse_prefix uses derive_ for the post-parse passes only, so an
-  // encode() interleaved with a suspended decode never collides.
+  // decode() on the grown front continues from the truncation point. The
+  // workspace holds nothing between calls, so an encode() interleaved with
+  // a suspended decode never collides.
   std::size_t consumed = 0;
-  auto tree = framing_->parse_prefix(buffer, &consumed, &scratch_, &nodes_,
-                                     &derive_, &resume_);
+  auto tree = framing_->parse_prefix(buffer, consumed, workspace_, &resume_);
   if (!tree) {
     const Error& e = tree.error();
     if (e.truncated()) {

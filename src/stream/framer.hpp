@@ -21,10 +21,10 @@
 #include <memory>
 #include <string>
 
-#include "ast/pool.hpp"
 #include "runtime/protocol.hpp"
 #include "runtime/resume.hpp"
 #include "runtime/scope.hpp"
+#include "runtime/workspace.hpp"
 #include "util/bytes.hpp"
 #include "util/result.hpp"
 #include "util/rng.hpp"
@@ -206,12 +206,8 @@ class ObfuscatedFramer final : public Framer {
   Inst* payload_slot_;     // the payload terminal inside skeleton_
   NodeId payload_node_;    // its schema in the original frame graph
   std::size_t min_need_;   // static floor on any frame's wire size
-  BufferPool scratch_;     // mirrored-region buffers
-  DeriveScratch derive_;   // derive-pass work vectors
-  InstPool nodes_;         // recycles frame trees across encodes/decodes
+  Workspace workspace_;    // recycles frame trees across encodes/decodes
   ParseResume resume_;     // suspended prefix parse between NeedMore retries
-                           // (declared after nodes_: partial trees must drop
-                           // back into the pool before the pool goes away)
   Bytes payload_copy_;     // backs decode() payload views
 };
 

@@ -13,17 +13,6 @@
 #include <memory>
 #include <new>
 
-#if defined(__SANITIZE_ADDRESS__)
-#define PROTOOBF_TEST_LSAN 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define PROTOOBF_TEST_LSAN 1
-#endif
-#endif
-#ifdef PROTOOBF_TEST_LSAN
-#include <sanitizer/lsan_interface.h>
-#endif
-
 #include "ast/pool.hpp"
 #include "core/protoobf.hpp"
 #include "protocols/http.hpp"
@@ -31,6 +20,7 @@
 #include "runtime/derive.hpp"
 #include "runtime/emit.hpp"
 #include "runtime/parse.hpp"
+#include "runtime/workspace.hpp"
 #include "session/session.hpp"
 
 // --- operator-new hook ------------------------------------------------------
@@ -137,23 +127,23 @@ TEST(InstPool, MixedHeapAndPoolTreesDestroySafely) {
   EXPECT_EQ(pool.stats().live, 0u);
 }
 
-TEST(InstPool, DestroyedPoolDetachesSurvivingTrees) {
-  // A tree outliving its pool is a contract violation; the pool must turn
-  // it into a leak, never a use-after-free. The leak is the point, so
-  // LeakSanitizer is told to look away.
-#ifdef PROTOOBF_TEST_LSAN
-  __lsan_disable();
-#endif
+TEST(InstPool, TreesOutliveTheirPool) {
+  // A pool root, a heap child and a pool grandchild outlive their pool: its
+  // store stays while they are live, and the last pool node to return
+  // frees it. Under LeakSanitizer a store that stayed behind is a leak; a
+  // freed one read through the survivors is a use-after-free.
+  const Bytes payload(100, 0xcd);
   InstPtr survivor;
   {
     InstPool pool;
-    survivor = ast::terminal(&pool, 1, BytesView());
+    survivor = ast::make(&pool, 0);
+    survivor->children.push_back(ast::make(nullptr, 1));
+    survivor->children[0]->children.push_back(
+        ast::terminal(&pool, 2, BytesView(payload)));
+    EXPECT_EQ(pool.stats().live, 2u);
   }
-  survivor.reset();  // no-op delete: node memory was leaked with the slabs
-#ifdef PROTOOBF_TEST_LSAN
-  __lsan_enable();
-#endif
-  SUCCEED();
+  EXPECT_EQ(survivor->children[0]->children[0]->value, payload);
+  survivor.reset();  // the grandchild returns first, then the root
 }
 
 // --- steady-state allocation behaviour --------------------------------------
@@ -191,7 +181,7 @@ TEST_P(AllocSteadyState, WarmSessionHasZeroPoolMisses) {
     }
   }
 
-  const InstPool::Stats warm = session.arena().nodes().stats();
+  const InstPool::Stats warm = session.arena().workspace().nodes.stats();
   EXPECT_EQ(warm.live, 0u);
 
   for (int round = 0; round < 4; ++round) {
@@ -201,7 +191,7 @@ TEST_P(AllocSteadyState, WarmSessionHasZeroPoolMisses) {
     }
   }
 
-  const InstPool::Stats steady = session.arena().nodes().stats();
+  const InstPool::Stats steady = session.arena().workspace().nodes.stats();
   EXPECT_EQ(steady.misses, warm.misses)
       << "steady-state session traffic grew the node pool";
   EXPECT_EQ(steady.slabs, warm.slabs);
@@ -362,10 +352,10 @@ TEST_P(NoCopyReads, ParseAndHolderChecksDrawOnlyTreeNodes) {
       Framework::generate(g1, config_of(2018, http ? 4 : 2)).value();
 
   Rng rng(2018);
-  InstPool pool;
-  BufferPool buffers;
-  DeriveScratch derive;
-  const auto drawn = [&] { return pool.stats().hits + pool.stats().misses; };
+  Workspace ws;
+  const auto drawn = [&] {
+    return ws.nodes.stats().hits + ws.nodes.stats().misses;
+  };
   std::size_t tree_nodes = 0, parse_nodes = 0, fix_nodes = 0;
   for (std::size_t i = 0; i < 50; ++i) {
     Message msg = http ? http::random_request(g1, rng)
@@ -375,15 +365,14 @@ TEST_P(NoCopyReads, ParseAndHolderChecksDrawOnlyTreeNodes) {
 
     const std::size_t before_parse = drawn();
     auto tree = parse_wire(protocol.wire_graph(), protocol.journal(),
-                           protocol.holders(), *wire, &buffers, &pool);
+                           protocol.holders(), *wire, ws);
     ASSERT_TRUE(tree.ok()) << tree.error().message;
     parse_nodes += drawn() - before_parse;
     tree_nodes += ast::count(**tree);
 
     const std::size_t before_fix = drawn();
     ASSERT_TRUE(fix_holders(protocol.wire_graph(), protocol.journal(),
-                            protocol.holders(), **tree, msg_seed_of(i), &pool,
-                            &derive)
+                            protocol.holders(), **tree, msg_seed_of(i), ws)
                     .ok());
     fix_nodes += drawn() - before_fix;
   }

@@ -17,6 +17,12 @@ Graph spec(std::string_view text) {
   return std::move(g.value());
 }
 
+/// canonicalize() with G1's own holder table, in a fresh workspace.
+Status canonicalize_g1(const Graph& g, Inst& root) {
+  Workspace ws;
+  return canonicalize(g, build_holder_table(g, g, {}).value(), root, ws);
+}
+
 TEST(FillConsts, FillsEmptyAndChecksNonEmpty) {
   Graph g = spec(R"(
 protocol P
@@ -27,13 +33,13 @@ m: seq end {
 )");
   Message ok(g);
   ok.set_text("rest", "x");
-  ASSERT_TRUE(canonicalize(g, ok.root()).ok());
+  ASSERT_TRUE(canonicalize_g1(g, ok.root()).ok());
   EXPECT_EQ(ok.get("magic").value(), (Bytes{0xbe, 0xef}));
 
   Message bad(g);
   bad.set("magic", Bytes{0x00, 0x01});
   bad.set_text("rest", "x");
-  const Status s = canonicalize(g, bad.root());
+  const Status s = canonicalize_g1(g, bad.root());
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.error().message,
             "constant field 'magic' set to a non-constant value");
@@ -55,7 +61,7 @@ m: seq end {
   Message msg(g);
   msg.set_text("inner", "abcdef");
   msg.set("pad", Bytes{0, 0});
-  ASSERT_TRUE(canonicalize(g, msg.root()).ok());
+  ASSERT_TRUE(canonicalize_g1(g, msg.root()).ok());
   EXPECT_EQ(msg.get_uint("inner_len").value(), 6u);
   EXPECT_EQ(msg.get_uint("outer_len").value(), 1u + 6 + 2);
 }
@@ -73,7 +79,7 @@ m: seq end {
   for (std::size_t n : {5u, 12u, 120u}) {
     Message msg(g);
     msg.set("payload", Bytes(n, 0x41));
-    ASSERT_TRUE(canonicalize(g, msg.root()).ok());
+    ASSERT_TRUE(canonicalize_g1(g, msg.root()).ok());
     EXPECT_EQ(msg.get_uint("len").value(), n);
   }
 }
@@ -89,7 +95,7 @@ m: seq end {
   Message msg(g);
   msg.set_uint("len", 9999);  // wrong on purpose: derived fields are owned
   msg.set_text("payload", "xy");
-  ASSERT_TRUE(canonicalize(g, msg.root()).ok());
+  ASSERT_TRUE(canonicalize_g1(g, msg.root()).ok());
   EXPECT_EQ(msg.get_uint("len").value(), 2u);
 }
 
@@ -103,7 +109,7 @@ m: seq end {
 )");
   Message msg(g);
   msg.set("payload", Bytes(300, 0));  // needs 2 bytes, field holds 1
-  EXPECT_FALSE(canonicalize(g, msg.root()).ok());
+  EXPECT_FALSE(canonicalize_g1(g, msg.root()).ok());
 }
 
 TEST(Canonicalize, MeasuredRegionErrorsSurfaceVerbatim) {
@@ -143,7 +149,7 @@ m: seq end {
     auto wire = p.serialize(msg.root(), 5);
     ASSERT_FALSE(wire.ok());
     EXPECT_EQ(wire.error().message, c.error);
-    Status s = canonicalize(g, msg.root());
+    Status s = canonicalize_g1(g, msg.root());
     ASSERT_FALSE(s.ok());
     EXPECT_EQ(s.error().message, c.error);
   }
@@ -163,7 +169,7 @@ m: seq end {
   msg.set("a", Bytes{1});
   msg.set_text("rest", "r");
   msg.root().children[1]->schema = static_cast<NodeId>(g.arena_size() + 7);
-  const Status s = canonicalize(g, msg.root());
+  const Status s = canonicalize_g1(g, msg.root());
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.error().message,
             "instance of unknown node " + std::to_string(g.arena_size() + 7));
@@ -183,7 +189,7 @@ m: seq end {
   Message missing(g);
   missing.set_uint("kind", 1);  // condition true but optional absent
   missing.set_text("rest", "r");
-  const Status absent = canonicalize(g, missing.root());
+  const Status absent = canonicalize_g1(g, missing.root());
   ASSERT_FALSE(absent.ok());
   EXPECT_NE(absent.error().message.find("absent but its condition evaluates "
                                         "to true"),
@@ -194,7 +200,7 @@ m: seq end {
   spurious.set_uint("kind", 0);
   spurious.set("xv", Bytes{1});  // materializes the optional
   spurious.set_text("rest", "r");
-  const Status present = canonicalize(g, spurious.root());
+  const Status present = canonicalize_g1(g, spurious.root());
   ASSERT_FALSE(present.ok());
   EXPECT_NE(present.error().message.find("present but its condition "
                                          "evaluates to false"),
@@ -202,7 +208,7 @@ m: seq end {
       << present.error().message;
 
   spurious.set_uint("kind", 1);
-  EXPECT_TRUE(canonicalize(g, spurious.root()).ok());
+  EXPECT_TRUE(canonicalize_g1(g, spurious.root()).ok());
 }
 
 TEST(FixHolders, WireLengthTracksTransformedSize) {
@@ -304,7 +310,7 @@ m: seq end {
   Message msg(g);
   msg.set("a", Bytes{1, 2, 3});
   msg.set_text("b", "bb");
-  ASSERT_TRUE(canonicalize(g, msg.root()).ok());
+  ASSERT_TRUE(canonicalize_g1(g, msg.root()).ok());
   auto bytes = emit(g, msg.root());
   ASSERT_TRUE(bytes.ok());
   EXPECT_EQ(*bytes, (Bytes{1, 2, 3, 'b', 'b', '!'}));
@@ -325,7 +331,7 @@ m: seq end {
   msg.append("lines");
   msg.set_text("lines[0].line", "");  // empty line -> element starts with $
   msg.set_text("rest", "x");
-  ASSERT_TRUE(canonicalize(g, msg.root()).ok());
+  ASSERT_TRUE(canonicalize_g1(g, msg.root()).ok());
   EXPECT_FALSE(emit(g, msg.root()).ok());
 }
 

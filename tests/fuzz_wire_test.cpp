@@ -130,8 +130,8 @@ TEST(WireFuzz, CampaignHoldsEveryInvariantOnEveryArm) {
 
     // Campaign-level memory bound: every tree went back to the pool, and
     // slab growth reflects the deepest single parse, not the input count.
-    EXPECT_EQ(arm.runner->arena().nodes().stats().live, 0u) << arm.name;
-    EXPECT_LE(arm.runner->arena().nodes().stats().slabs, 16u) << arm.name;
+    EXPECT_EQ(arm.runner->arena().workspace().nodes.stats().live, 0u) << arm.name;
+    EXPECT_LE(arm.runner->arena().workspace().nodes.stats().slabs, 16u) << arm.name;
   }
   // ISSUE 6 acceptance: >= 2k chunk-split resume replays in the default
   // campaign (every stream-safe check() replays its input chunked).

@@ -93,10 +93,10 @@ class Oracle {
                      ", reference " + verdict(status_of(expected)));
       return {};
     }
+    Workspace ws;
     InstPtr copy;
-    DeriveScratch scratch;
-    const Status walked = canonical_copy(p_.original(), canon_, message, copy,
-                                         nullptr, scratch);
+    const Status walked =
+        canonical_copy(p_.original(), canon_, message, copy, ws);
     auto reference_copy = reference::canonical_copy(p_.original(), canon_,
                                                     message);
     if (!same_error(walked, status_of(reference_copy))) {
@@ -146,9 +146,8 @@ class Oracle {
     ++tally.cases;
     InstPtr walked = ast::clone(tree);
     InstPtr expected = ast::clone(tree);
-    DeriveScratch scratch;
-    const Status s =
-        canonicalize_parsed(p_.original(), canon_, *walked, scratch);
+    Workspace ws;
+    const Status s = canonicalize_parsed(p_.original(), canon_, *walked, ws);
     const Status r = reference::finish_parse(p_.original(), canon_, *expected);
     if (!same_error(s, r)) {
       tally.mismatch(where + ": parse walk " + verdict(s) + ", reference " +

@@ -128,6 +128,12 @@ Expected<std::uint64_t> measure(const Graph& graph, const Pair& pair) {
   return bytes->size();
 }
 
+/// canonicalize() with G1's own holder table, in a fresh workspace.
+Status canonicalize_g1(const Graph& g1, Inst& root) {
+  Workspace ws;
+  return canonicalize(g1, build_holder_table(g1, g1, {}).value(), root, ws);
+}
+
 Status reference_canonicalize(const Graph& g1, Inst& root) {
   if (Status s = reference::fill_consts(g1, root); !s) return s;
   Bytes encoded;
@@ -274,7 +280,7 @@ Bytes check_derivation(const ObfuscatedProtocol& p, const Inst& message,
                        Tally& tally) {
   InstPtr canonical = ast::clone(message);
   InstPtr reference = ast::clone(message);
-  if (!canonicalize(p.original(), *canonical) ||
+  if (!canonicalize_g1(p.original(), *canonical) ||
       !reference_canonicalize(p.original(), *reference)) {
     tally.mismatch(where + ": a canonicalize failed");
     return {};
@@ -301,8 +307,9 @@ Bytes check_derivation(const ObfuscatedProtocol& p, const Inst& message,
   InstPtr expected = ast::clone(*canonical);
   Bytes wire;
   Bytes expected_wire;
-  if (!fix_holders(p.wire_graph(), p.journal(), p.holders(), *fixed,
-                   msg_seed) ||
+  Workspace ws;
+  if (!fix_holders(p.wire_graph(), p.journal(), p.holders(), *fixed, msg_seed,
+                   ws) ||
       !reference_fix_holders(p, *expected, msg_seed) ||
       !emit_into(p.wire_graph(), *fixed, wire) ||
       !emit_into(p.wire_graph(), *expected, expected_wire)) {
@@ -347,7 +354,9 @@ void check_protocol(const ObfuscatedProtocol& p, Rng& rng,
     const Bytes wire = check_derivation(p, *message, msg_seed, where, tally);
     if (wire.empty()) continue;
 
-    auto parsed = parse_wire(p.wire_graph(), p.journal(), p.holders(), wire);
+    Workspace ws;
+    auto parsed =
+        parse_wire(p.wire_graph(), p.journal(), p.holders(), wire, ws);
     if (!parsed) {
       tally.mismatch(where + ": parse_wire rejected a valid wire");
       continue;
@@ -357,8 +366,8 @@ void check_protocol(const ObfuscatedProtocol& p, Rng& rng,
     Bytes mutated = wire;
     mutated[rng.below(mutated.size())] ^=
         static_cast<Byte>(1 + rng.below(255));
-    if (auto damaged =
-            parse_wire(p.wire_graph(), p.journal(), p.holders(), mutated)) {
+    if (auto damaged = parse_wire(p.wire_graph(), p.journal(), p.holders(),
+                                  mutated, ws)) {
       check_reads(p, **damaged, rng, where + " (mutated wire)", tally);
     }
   }
@@ -436,7 +445,7 @@ TEST(HolderPlan, NestedAsciiWidthCrossesDigitBoundaries) {
 
     InstPtr canonical = ast::clone(msg.root());
     InstPtr reference = ast::clone(msg.root());
-    ASSERT_TRUE(canonicalize(*g1, *canonical).ok());
+    ASSERT_TRUE(canonicalize_g1(*g1, *canonical).ok());
     ASSERT_TRUE(reference_canonicalize(*g1, *reference).ok());
     EXPECT_TRUE(ast::equal(*canonical, *reference)) << body;
     const std::string digits = std::to_string(body);
@@ -510,7 +519,7 @@ TEST(HolderPlan, OneHolderMeasuredByEveryElement) {
   Message equal = repeated_dependant(*g1, {3, 3, 3});
   InstPtr canonical = ast::clone(equal.root());
   InstPtr reference = ast::clone(equal.root());
-  ASSERT_TRUE(canonicalize(*g1, *canonical).ok());
+  ASSERT_TRUE(canonicalize_g1(*g1, *canonical).ok());
   ASSERT_TRUE(reference_canonicalize(*g1, *reference).ok());
   EXPECT_TRUE(ast::equal(*canonical, *reference));
   EXPECT_EQ(ast::find_schema(*canonical, g1->find_by_name("rlen").value())
@@ -519,7 +528,7 @@ TEST(HolderPlan, OneHolderMeasuredByEveryElement) {
 
   Message unequal = repeated_dependant(*g1, {3, 4});
   InstPtr inconsistent = ast::clone(unequal.root());
-  const Status refused = canonicalize(*g1, *inconsistent);
+  const Status refused = canonicalize_g1(*g1, *inconsistent);
   ASSERT_FALSE(refused.ok());
   EXPECT_NE(refused.error().message.find("different sizes"),
             std::string::npos)
@@ -546,8 +555,9 @@ TEST(HolderPlan, OneHolderMeasuredByEveryElement) {
       if (per_node == 0) {
         // The wire pass on its own: G1 is the wire graph here.
         InstPtr tree = ast::clone(unequal.root());
+        Workspace ws;
         const Status s = fix_holders(p->wire_graph(), p->journal(),
-                                     p->holders(), *tree, seed);
+                                     p->holders(), *tree, seed, ws);
         ASSERT_FALSE(s.ok()) << where;
         EXPECT_NE(s.error().message.find("different sizes"),
                   std::string::npos)

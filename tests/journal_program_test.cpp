@@ -91,8 +91,9 @@ Bytes forward(const ObfuscatedProtocol& q, const Inst& canonical,
   if (!s) return {};
   InstPtr fixed = ast::clone(*tree);
   Bytes wire;
-  if (!fix_holders(q.wire_graph(), q.journal(), q.holders(), *fixed,
-                   msg_seed) ||
+  Workspace ws;
+  if (!fix_holders(q.wire_graph(), q.journal(), q.holders(), *fixed, msg_seed,
+                   ws) ||
       !emit_into(q.wire_graph(), *fixed, wire)) {
     return {};
   }
@@ -130,9 +131,10 @@ void check_case(const ObfuscatedProtocol& p, const ObfuscatedProtocol& rebuilt,
 
   // (b) and (d): the programs invert the parsed wire tree to the
   // sequential executor's result.
-  auto parsed = parse_wire(p.wire_graph(), p.journal(), p.holders(), wire);
+  Workspace ws;
+  auto parsed = parse_wire(p.wire_graph(), p.journal(), p.holders(), wire, ws);
   auto reparsed = parse_wire(rebuilt.wire_graph(), rebuilt.journal(),
-                             rebuilt.holders(), wire);
+                             rebuilt.holders(), wire, ws);
   if (!parsed || !reparsed) {
     tally.mismatch(where + ": parse_wire rejected a valid wire");
     return;
@@ -156,7 +158,8 @@ void check_case(const ObfuscatedProtocol& p, const ObfuscatedProtocol& rebuilt,
   const BytesView truncated =
       BytesView(wire).first(static_cast<std::size_t>(rng.below(wire.size())));
   for (const BytesView input : {BytesView(mutated), truncated}) {
-    auto damaged = parse_wire(p.wire_graph(), p.journal(), p.holders(), input);
+    auto damaged =
+        parse_wire(p.wire_graph(), p.journal(), p.holders(), input, ws);
     if (!damaged) continue;
     ++tally.mutants;
     if (!inverses_agree(p, **damaged)) {

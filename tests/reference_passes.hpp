@@ -209,8 +209,9 @@ inline Expected<Bytes> serialize(const ObfuscatedProtocol& p,
       !s) {
     return Unexpected(s.error());
   }
+  Workspace ws;
   if (Status s = fix_holders(p.wire_graph(), p.journal(), p.holders(), **tree,
-                             msg_seed);
+                             msg_seed, ws);
       !s) {
     return Unexpected(s.error());
   }
@@ -220,7 +221,8 @@ inline Expected<Bytes> serialize(const ObfuscatedProtocol& p,
 /// parse() as the separate passes ran it.
 inline Expected<InstPtr> parse(const ObfuscatedProtocol& p,
                                const HolderTable& canon, BytesView wire) {
-  auto tree = parse_wire(p.wire_graph(), p.journal(), p.holders(), wire);
+  Workspace ws;
+  auto tree = parse_wire(p.wire_graph(), p.journal(), p.holders(), wire, ws);
   if (!tree) return tree;
   if (Status s = inverse_program(*tree, p.program(), p.journal()); !s) {
     return Unexpected(s.error());

@@ -67,13 +67,13 @@ std::shared_ptr<const ObfuscatedProtocol> compile(std::string_view spec,
 /// zero baseline, with the same accounting.
 Expected<InstPtr> trickle_parse(const ObfuscatedProtocol& protocol,
                                 BytesView wire, std::size_t step,
-                                ParseResume& resume, InstPool& nodes,
-                                std::size_t* consumed, bool restart = false) {
+                                ParseResume& resume, Workspace& ws,
+                                std::size_t& consumed, bool restart = false) {
   for (std::size_t have = std::min(step, wire.size());;
        have = std::min(have + step, wire.size())) {
     if (restart) resume.invalidate();
-    auto tree = protocol.parse_prefix(wire.first(have), consumed, nullptr,
-                                      &nodes, nullptr, &resume);
+    auto tree =
+        protocol.parse_prefix(wire.first(have), consumed, ws, &resume);
     if (tree.ok()) return tree;
     EXPECT_TRUE(tree.error().truncated())
         << "prefix " << have << "/" << wire.size()
@@ -96,10 +96,10 @@ TEST(ParseResume, ResumedTrickleEqualsOneShotOnDelimiterSpec) {
 
   for (const std::size_t step : {1u, 2u, 3u, 7u}) {
     ParseResume resume;
-    InstPool nodes;
+    Workspace ws;
     std::size_t consumed = 0;
     auto resumed =
-        trickle_parse(*protocol, wire, step, resume, nodes, &consumed);
+        trickle_parse(*protocol, wire, step, resume, ws, consumed);
     ASSERT_TRUE(resumed.ok()) << resumed.error().message;
     EXPECT_EQ(consumed, wire.size());
     EXPECT_TRUE(ast::equal(**resumed, **oneshot)) << "step " << step;
@@ -118,9 +118,9 @@ TEST(ParseResume, DelimiterScanNeverRereadsRejectedBytes) {
 
   // Resumable: scanned bytes stay O(wire) under 1-byte delivery.
   ParseResume resume;
-  InstPool nodes;
+  Workspace ws;
   std::size_t consumed = 0;
-  auto tree = trickle_parse(*protocol, wire, 1, resume, nodes, &consumed);
+  auto tree = trickle_parse(*protocol, wire, 1, resume, ws, consumed);
   ASSERT_TRUE(tree.ok()) << tree.error().message;
   // Every byte is examined once per scanned region it belongs to, plus a
   // (delimiter-1)-byte overlap per retry: comfortably under 4x the wire.
@@ -131,9 +131,9 @@ TEST(ParseResume, DelimiterScanNeverRereadsRejectedBytes) {
   // same accounting): the same delivery rescans the front on every
   // attempt — quadratic.
   ParseResume baseline;
-  InstPool baseline_nodes;
-  auto base_tree = trickle_parse(*protocol, wire, 1, baseline, baseline_nodes,
-                                 &consumed, /*restart=*/true);
+  Workspace baseline_ws;
+  auto base_tree = trickle_parse(*protocol, wire, 1, baseline, baseline_ws,
+                                 consumed, /*restart=*/true);
   ASSERT_TRUE(base_tree.ok());
   EXPECT_GT(baseline.stats().scanned_bytes, 16 * wire.size())
       << "baseline unexpectedly cheap: the regression this guards is gone?";
@@ -163,9 +163,9 @@ frame: seq end {
   ASSERT_TRUE(oneshot.ok()) << oneshot.error().message;
 
   ParseResume resume;
-  InstPool nodes;
+  Workspace ws;
   std::size_t consumed = 0;
-  auto resumed = trickle_parse(*protocol, wire, 1, resume, nodes, &consumed);
+  auto resumed = trickle_parse(*protocol, wire, 1, resume, ws, consumed);
   ASSERT_TRUE(resumed.ok()) << resumed.error().message;
   EXPECT_EQ(consumed, wire.size());
   EXPECT_TRUE(ast::equal(**resumed, **oneshot));
@@ -191,10 +191,10 @@ TEST(ParseResume, StopMarkerRepetitionResumesAcrossElements) {
 
   for (const std::size_t step : {1u, 2u, 5u}) {
     ParseResume resume;
-    InstPool nodes;
+    Workspace ws;
     std::size_t consumed = 0;
     auto resumed =
-        trickle_parse(*protocol, wire, step, resume, nodes, &consumed);
+        trickle_parse(*protocol, wire, step, resume, ws, consumed);
     ASSERT_TRUE(resumed.ok()) << "step " << step << ": "
                               << resumed.error().message;
     EXPECT_EQ(consumed, wire.size());
@@ -225,14 +225,14 @@ TEST(ParseResume, RandomChunkingsMatchOneShotOnObfuscatedSpec) {
 
     for (int round = 0; round < 4; ++round) {
       ParseResume resume;
-      InstPool nodes;
+      Workspace ws;
       std::size_t consumed = 0;
       std::size_t have = 0;
       Expected<InstPtr> tree = Unexpected("never attempted");
       while (true) {
         have = std::min<std::size_t>(have + rng.between(1, 9), wire->size());
-        tree = protocol->parse_prefix(BytesView(*wire).first(have), &consumed,
-                                      nullptr, &nodes, nullptr, &resume);
+        tree = protocol->parse_prefix(BytesView(*wire).first(have), consumed,
+                                      ws, &resume);
         if (tree.ok()) break;
         ASSERT_TRUE(tree.error().truncated())
             << "seed " << seed << " at " << have << ": "
@@ -256,20 +256,19 @@ TEST(ParseResume, ShrunkenFrontAutoInvalidatesAndMalformedClears) {
   const Bytes wire = protocol->serialize(msg.root(), 1).value();
 
   ParseResume resume;
-  InstPool nodes;
+  Workspace ws;
   std::size_t consumed = 0;
   // Suspend midway.
   auto partial = protocol->parse_prefix(BytesView(wire).first(wire.size() / 2),
-                                        &consumed, nullptr, &nodes, nullptr,
-                                        &resume);
+                                        consumed, ws, &resume);
   ASSERT_FALSE(partial.ok());
   ASSERT_TRUE(resume.active());
   EXPECT_GT(resume.depth(), 0u);
 
   // A shorter front cannot be "the same front with bytes appended": the
   // checkpoint is dropped automatically and the attempt restarts clean.
-  auto shorter = protocol->parse_prefix(BytesView(wire).first(2), &consumed,
-                                        nullptr, &nodes, nullptr, &resume);
+  auto shorter = protocol->parse_prefix(BytesView(wire).first(2), consumed,
+                                        ws, &resume);
   ASSERT_FALSE(shorter.ok());
   EXPECT_TRUE(shorter.error().truncated());
   EXPECT_GT(resume.stats().invalidations, 0u);
@@ -277,8 +276,7 @@ TEST(ParseResume, ShrunkenFrontAutoInvalidatesAndMalformedClears) {
   // Malformed input clears the checkpoint (nothing to continue).
   Bytes garbage = {0x00, 0x01, 0x02};  // ftag must be ascii digits
   garbage.resize(24, 0x02);
-  auto bad = protocol->parse_prefix(garbage, &consumed, nullptr, &nodes,
-                                    nullptr, &resume);
+  auto bad = protocol->parse_prefix(garbage, consumed, ws, &resume);
   // Whether this exact garbage parses or not, no checkpoint may survive a
   // non-truncated outcome.
   if (!bad.ok() && !bad.error().truncated()) {
@@ -287,8 +285,7 @@ TEST(ParseResume, ShrunkenFrontAutoInvalidatesAndMalformedClears) {
 
   // And an explicit invalidate always works, releasing pooled partials.
   auto again = protocol->parse_prefix(BytesView(wire).first(wire.size() / 2),
-                                      &consumed, nullptr, &nodes, nullptr,
-                                      &resume);
+                                      consumed, ws, &resume);
   ASSERT_FALSE(again.ok());
   ASSERT_TRUE(resume.active());
   resume.invalidate();
@@ -296,10 +293,40 @@ TEST(ParseResume, ShrunkenFrontAutoInvalidatesAndMalformedClears) {
   EXPECT_EQ(resume.depth(), 0u);
 
   // After all of that, a clean full parse still round-trips.
-  auto full = protocol->parse_prefix(wire, &consumed, nullptr, &nodes,
-                                     nullptr, &resume);
+  auto full = protocol->parse_prefix(wire, consumed, ws, &resume);
   ASSERT_TRUE(full.ok()) << full.error().message;
   EXPECT_EQ(consumed, wire.size());
+}
+
+TEST(ParseResume, SuspendedTreeOutlivesItsWorkspace) {
+  // A checkpoint's partial tree comes from the workspace's pool and may be
+  // dropped after the workspace: the last partial node frees the pool's
+  // storage. Under LeakSanitizer a store left behind is a leak, and
+  // reading a freed one below is a use-after-free.
+  auto protocol = compile(kDelimSpec, 1, 0);
+  auto g = Framework::load_spec(kDelimSpec).value();
+  Message msg(g);
+  msg.set_text("ftag", "5");
+  msg.set_text("fbody", "suspended past its workspace");
+  const Bytes wire = protocol->serialize(msg.root(), 3).value();
+
+  ParseResume resume;
+  {
+    Workspace ws;
+    std::size_t consumed = 0;
+    auto partial = protocol->parse_prefix(
+        BytesView(wire).first(wire.size() / 2), consumed, ws, &resume);
+    ASSERT_FALSE(partial.ok());
+    ASSERT_TRUE(partial.error().truncated()) << partial.error().message;
+    ASSERT_TRUE(resume.active());
+    EXPECT_GT(ws.nodes.stats().live, 0u);
+  }
+  const Inst* root = resume.spine().front().partial.get();
+  ASSERT_NE(root, nullptr);
+  ASSERT_EQ(root->children.size(), 1u);
+  EXPECT_EQ(root->children[0]->value, to_bytes("5"));
+  resume.invalidate();
+  EXPECT_EQ(resume.depth(), 0u);
 }
 
 TEST(ParseResume, SuspendedTreesRecycleIntoThePool) {
@@ -310,19 +337,19 @@ TEST(ParseResume, SuspendedTreesRecycleIntoThePool) {
   msg.set_text("fbody", "pool hygiene");
   const Bytes wire = protocol->serialize(msg.root(), 2).value();
 
-  InstPool nodes;
+  Workspace ws;
   {
     ParseResume resume;
     std::size_t consumed = 0;
     for (int round = 0; round < 8; ++round) {
-      auto tree = trickle_parse(*protocol, wire, 1, resume, nodes, &consumed);
+      auto tree = trickle_parse(*protocol, wire, 1, resume, ws, consumed);
       ASSERT_TRUE(tree.ok());
       // Dropping the result returns every node — including any that lived
       // in suspended partials along the way — to the freelist.
     }
     resume.invalidate();
   }
-  EXPECT_EQ(nodes.stats().live, 0u)
+  EXPECT_EQ(ws.nodes.stats().live, 0u)
       << "suspended partial trees leaked out of the pool";
 }
 

@@ -83,8 +83,11 @@ TEST(ParseTaxonomy, TruncatedInputIsClassifiedTruncated) {
   const Bytes wire = protocol->serialize(frame.root(), 7).value();
 
   // Every proper prefix is merely truncated: more bytes could complete it.
+  Workspace ws;
   for (std::size_t keep = 0; keep < wire.size(); ++keep) {
-    auto parsed = protocol->parse_prefix(BytesView(wire).first(keep), nullptr);
+    std::size_t consumed = 0;
+    auto parsed =
+        protocol->parse_prefix(BytesView(wire).first(keep), consumed, ws);
     ASSERT_FALSE(parsed.ok()) << "prefix of " << keep << " parsed";
     EXPECT_TRUE(parsed.error().truncated())
         << "prefix " << keep << "/" << wire.size() << " reported malformed: "
@@ -123,7 +126,8 @@ TEST(ParseTaxonomy, PrefixParseReportsConsumedAndToleratesTrailing) {
   Bytes stream = wire;
   append(stream, to_bytes("NEXTFRAME..."));
   std::size_t consumed = 0;
-  auto parsed = protocol->parse_prefix(stream, &consumed);
+  Workspace ws;
+  auto parsed = protocol->parse_prefix(stream, consumed, ws);
   ASSERT_TRUE(parsed.ok()) << parsed.error().message;
   EXPECT_EQ(consumed, wire.size());
   auto whole = protocol->parse(wire);

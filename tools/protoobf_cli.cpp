@@ -1485,8 +1485,8 @@ int cmd_fuzz(const Options& opts) {
                     runner.resume_stats().suspensions));
   }
   std::printf("pool: %zu slabs, %zu live (rng seed %llu)\n",
-              runner.arena().nodes().stats().slabs,
-              runner.arena().nodes().stats().live,
+              runner.arena().workspace().nodes.stats().slabs,
+              runner.arena().workspace().nodes.stats().live,
               static_cast<unsigned long long>(rng_seed));
   return 0;
 }
