@@ -1,42 +1,27 @@
 #include "ast/pool.hpp"
 
-#include <memory>
-#include <vector>
-
 namespace protoobf {
 
-/// An InstPool's storage. Its nodes point here, so it outlives a destroyed
-/// pool until the last of them returns.
-struct InstStore {
-  std::vector<std::unique_ptr<Inst[]>> slabs;
-  std::vector<Inst*> free;
-  InstPool::Stats stats;
-  bool orphaned = false;  // the pool is gone: the last release frees this
-
-  void grow() {
-    auto slab = std::make_unique<Inst[]>(InstPool::kSlabNodes);
-    free.reserve(free.size() + InstPool::kSlabNodes);
-    for (std::size_t i = InstPool::kSlabNodes; i-- > 0;) {
-      slab[i].store = this;
-      free.push_back(&slab[i]);
-    }
-    slabs.push_back(std::move(slab));
-    ++stats.slabs;
+void InstStore::grow() {
+  auto slab = std::make_unique<Inst[]>(InstPool::kSlabNodes);
+  free.reserve(free.size() + InstPool::kSlabNodes);
+  for (std::size_t i = InstPool::kSlabNodes; i-- > 0;) {
+    slab[i].store = this;
+    free.push_back(&slab[i]);
   }
+  slabs.push_back(std::move(slab));
+  ++stats.slabs;
+}
 
-  /// Returns a node to the freelist. Children are released first (through
-  /// their own deleters; a live parent keeps `live` above 0 meanwhile), the
-  /// value keeps its capacity for the next terminal checked out.
-  void release(Inst* node) {
-    node->children.clear();
-    node->value.clear();
-    node->present = true;
-    node->schema = kNoNode;
-    free.push_back(node);
-    --stats.live;
-    if (orphaned && stats.live == 0) delete this;  // must stay last
-  }
-};
+void InstStore::release(Inst* node) {
+  node->children.clear();
+  node->value.clear();
+  node->present = true;
+  node->schema = kNoNode;
+  free.push_back(node);
+  --stats.live;
+  if (orphaned && stats.live == 0) delete this;  // must stay last
+}
 
 void InstDeleter::operator()(Inst* inst) const noexcept {
   if (inst == nullptr) return;
@@ -56,24 +41,10 @@ InstPool::~InstPool() {
   }
 }
 
-InstPtr InstPool::make(NodeId schema) {
+void InstPool::grow() {
   if (store_ == nullptr) store_ = new InstStore;
-  InstStore& store = *store_;
-  if (store.free.empty()) {
-    store.grow();
-    ++store.stats.misses;
-  } else {
-    ++store.stats.hits;
-  }
-  Inst* node = store.free.back();
-  store.free.pop_back();
-  node->schema = schema;
-  ++store.stats.live;
-  return InstPtr(node);
-}
-
-InstPool::Stats InstPool::stats() const {
-  return store_ != nullptr ? store_->stats : Stats{};
+  store_->grow();
+  ++store_->stats.misses;
 }
 
 void InstPool::shrink() {

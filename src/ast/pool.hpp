@@ -27,6 +27,8 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
+#include <vector>
 
 #include "ast/ast.hpp"
 
@@ -58,8 +60,44 @@ class InstPool {
   void shrink();
 
  private:
+  void grow();  // allocates the store on first use, then adds a slab
+
   InstStore* store_ = nullptr;
 };
+
+/// An InstPool's storage. Its nodes point here, so it outlives a destroyed
+/// pool until the last of them returns.
+struct InstStore {
+  std::vector<std::unique_ptr<Inst[]>> slabs;
+  std::vector<Inst*> free;
+  InstPool::Stats stats;
+  bool orphaned = false;  // the pool is gone: the last release frees this
+
+  void grow();
+
+  /// Returns a node to the freelist. Children are released first (through
+  /// their own deleters; a live parent keeps `live` above 0 meanwhile), the
+  /// value keeps its capacity for the next terminal checked out.
+  void release(Inst* node);
+};
+
+// Inline: parse and serialize draw every node through it.
+inline InstPtr InstPool::make(NodeId schema) {
+  if (store_ == nullptr || store_->free.empty()) {
+    grow();
+  } else {
+    ++store_->stats.hits;
+  }
+  Inst* node = store_->free.back();
+  store_->free.pop_back();
+  node->schema = schema;
+  ++store_->stats.live;
+  return InstPtr(node);
+}
+
+inline InstPool::Stats InstPool::stats() const {
+  return store_ != nullptr ? store_->stats : Stats{};
+}
 
 namespace ast {
 
