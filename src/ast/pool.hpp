@@ -43,7 +43,11 @@ class InstPool {
     std::size_t slabs = 0;   // slab count (capacity = slabs * kSlabNodes)
   };
 
-  static constexpr std::size_t kSlabNodes = 64;
+  // A slab stays under 1 KiB. glibc serves such blocks from its per-size
+  // caches; a larger block takes its large-chunk path, which first merges
+  // the freed small blocks waiting in its fast bins. Every plain call grows
+  // a fresh pool, so larger slabs would pay that merge on every call.
+  static constexpr std::size_t kSlabNodes = 1000 / sizeof(Inst);
 
   InstPool() = default;
   InstPool(const InstPool&) = delete;
