@@ -17,8 +17,8 @@
 // send() returns aliases the session arena's frame buffer and is valid
 // until the next send() on any channel sharing that session; trees from
 // receive() are owned by the caller but recycle into the session's node
-// pool when dropped — drop them on the session's thread, before the
-// session goes away.
+// pool when dropped — drop them on the session's thread. They may outlive
+// the session (ast/pool.hpp).
 #pragma once
 
 #include <optional>
